@@ -18,20 +18,32 @@ __all__ = ["measure_seconds", "Table", "geometric_sweep", "growth_exponent"]
 
 
 def measure_seconds(
-    function: Callable[[], object],
+    function: Callable[..., object],
     *,
     repeats: int = 3,
     warmup: int = 0,
+    setup: Callable[[], object] | None = None,
 ) -> float:
-    """Median wall-clock seconds of ``function()`` over ``repeats`` runs."""
+    """Median wall-clock seconds of ``function()`` over ``repeats`` runs.
+
+    With ``setup``, every run (warm-ups included) calls
+    ``function(setup())`` and times only ``function``: e.g.
+    ``setup=lambda: copy.copy(relation)`` hands each run a relation
+    version whose columns are not built yet.
+    """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats!r}")
+
+    def arguments() -> tuple:
+        return () if setup is None else (setup(),)
+
     for _ in range(warmup):
-        function()
+        function(*arguments())
     samples = []
     for _ in range(repeats):
+        args = arguments()
         start = time.perf_counter()
-        function()
+        function(*args)
         samples.append(time.perf_counter() - start)
     samples.sort()
     middle = len(samples) // 2

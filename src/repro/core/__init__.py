@@ -69,11 +69,11 @@ from repro.core.semantics import (
     rank,
     register_method,
 )
+from repro.core.reference import tuple_expected_ranks_quadratic
 from repro.core.tuple_expected_rank import (
     t_erank,
     t_erank_prune,
     tuple_expected_ranks,
-    tuple_expected_ranks_quadratic,
     tuple_expected_ranks_vectorized,
 )
 from repro.core.tuple_mq_rank import (

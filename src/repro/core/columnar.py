@@ -37,6 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from typing import Union
 
 import numpy as np
@@ -122,6 +124,8 @@ class AttributeColumns:
     def from_relation(
         cls, relation: AttributeLevelRelation
     ) -> "AttributeColumns":
+        """Flatten ``relation``; prefer ``relation.columns()``, which
+        builds this once per relation version."""
         sizes = np.fromiter(
             (row.score.support_size for row in relation),
             dtype=np.int64,
@@ -155,7 +159,11 @@ class TupleColumns:
     membership probability of rule ``r``; ``order`` lists tuple
     positions sorted by decreasing score with insertion-order
     tie-breaks — the Section 7 access order, which doubles as the
-    ``by_index`` beat order.
+    ``by_index`` beat order; ``expected_world_size`` is
+    ``E[|W|] = sum_t p(t)``, the one aggregate T-ERank-Prune needs up
+    front.  The explicit rules' members, in rule order, are
+    ``members[member_offsets[r]:member_offsets[r + 1]]`` for rule
+    ``r``.
     """
 
     scores: np.ndarray
@@ -164,6 +172,9 @@ class TupleColumns:
     rule_masses: np.ndarray
     order: np.ndarray
     tids: tuple[str, ...]
+    expected_world_size: float
+    members: np.ndarray
+    member_offsets: np.ndarray
 
     @property
     def size(self) -> int:
@@ -179,36 +190,39 @@ class TupleColumns:
     def from_relation(
         cls, relation: TupleLevelRelation
     ) -> "TupleColumns":
-        n = relation.size
+        """Flatten ``relation``; prefer ``relation.columns()``, which
+        builds this once per relation version.
+
+        Only explicit rules are visited member by member; the implied
+        singletons follow them in ``relation.rules`` in insertion
+        order, so they are numbered with one ``arange``.
+        """
+        rows = relation.tuples
+        n = len(rows)
         scores = np.fromiter(
-            (row.score for row in relation), dtype=float, count=n
+            map(attrgetter("score"), rows), dtype=float, count=n
         )
         probs = np.fromiter(
-            (row.probability for row in relation), dtype=float, count=n
+            map(attrgetter("probability"), rows), dtype=float, count=n
         )
-        rule_index = {
-            rule.rule_id: index
-            for index, rule in enumerate(relation.rules)
-        }
-        rules = np.fromiter(
-            (
-                rule_index[relation.rule_of(row.tid).rule_id]
-                for row in relation
-            ),
+        explicit = relation.explicit_rules
+        members = np.fromiter(
+            map(relation.position_of, chain.from_iterable(explicit)),
             dtype=np.int64,
-            count=n,
         )
-        rule_masses = np.fromiter(
-            (
-                math.fsum(
-                    relation.tuple_by_id(member).probability
-                    for member in rule
-                )
-                for rule in relation.rules
-            ),
-            dtype=float,
-            count=relation.rule_count,
+        member_offsets = np.zeros(len(explicit) + 1, dtype=np.int64)
+        np.cumsum([len(rule) for rule in explicit], out=member_offsets[1:])
+        rules = np.full(n, -1, dtype=np.int64)
+        rules[members] = np.repeat(
+            np.arange(len(explicit)), np.diff(member_offsets)
         )
+        implied = rules < 0
+        rules[implied] = len(explicit) + np.arange(
+            int(np.count_nonzero(implied))
+        )
+        rule_masses = np.bincount(
+            rules, weights=probs, minlength=relation.rule_count
+        ).astype(float, copy=False)
         order = np.lexsort((np.arange(n), -scores))
         return cls(
             scores=scores,
@@ -216,7 +230,10 @@ class TupleColumns:
             rules=rules,
             rule_masses=rule_masses,
             order=order,
-            tids=relation.tids(),
+            tids=tuple(map(attrgetter("tid"), rows)),
+            expected_world_size=math.fsum(probs.tolist()),
+            members=members,
+            member_offsets=member_offsets,
         )
 
 
@@ -444,7 +461,7 @@ def attribute_rank_pmf_matrix(
     columns = (
         relation
         if isinstance(relation, AttributeColumns)
-        else AttributeColumns.from_relation(relation)
+        else relation.columns()
     )
     n = columns.size
     matrix = np.zeros((n, n))
@@ -561,7 +578,7 @@ def tuple_present_rank_pmf_matrix(
     columns = (
         relation
         if isinstance(relation, TupleColumns)
-        else TupleColumns.from_relation(relation)
+        else relation.columns()
     )
     n = columns.size
     m = columns.rule_count
@@ -632,7 +649,7 @@ def tuple_rank_pmf_matrix(
     columns = (
         relation
         if isinstance(relation, TupleColumns)
-        else TupleColumns.from_relation(relation)
+        else relation.columns()
     )
     n = columns.size
     m = columns.rule_count
@@ -689,7 +706,7 @@ def rank_position_probability_matrix(
     """
     if isinstance(relation, AttributeLevelRelation):
         return attribute_rank_pmf_matrix(relation, ties="by_index")
-    columns = TupleColumns.from_relation(relation)
+    columns = relation.columns()
     present = tuple_present_rank_pmf_matrix(columns, ties="by_index")
     n = columns.size
     table = np.zeros((n, n))

@@ -1,314 +1,195 @@
 """Expected ranks in the tuple-level model (paper Section 6).
 
+Both kernels run on the relation's :class:`~repro.core.columnar.TupleColumns`,
+built once per relation version (``relation.columns()``).
+
 * :func:`t_erank` — exact ``O(N log N)`` computation (Section 6.1).
-  With tuples sorted by score and ``q_i = sum_{j < i} p(t_j)``,
-  equation (8) evaluates each tuple's expected rank in constant time
-  from three per-tuple aggregates: the probability mass ranked above
-  it, the mass of its own rule, and the expected world size
-  ``E[|W|] = sum_t p(t)``.  The three terms of equation (7) are:
+  With tuples in access order (score descending, insertion order on
+  ties) and ``q_i = sum_{j < i} p(t_j)``, equation (8) gives each
+  tuple's expected rank from three aggregates: the probability mass
+  ranked above it, the mass of its own rule, and the expected world
+  size ``E[|W|] = sum_t p(t)``.  The three terms of equation (7) are:
   rank while present (independent higher tuples outside the rule),
   the same-rule mass (conditioned on absence the rule renormalises,
   and the ``(1 - p)`` factor cancels), and the rest of the world's
-  expected size while absent.
+  expected size while absent.  All of it is one vector expression; the
+  same-rule mass ranked above a tuple comes from a stable sort on rule.
 
 * :func:`t_erank_prune` — the early-stop scan (Section 6.2).  Only
-  ``E[|W|]`` is needed up front; tuples arrive in decreasing score
-  order, each seen tuple's expected rank is *exact* (equation 8 only
-  references higher-score tuples plus the tuple's own rule, which is
-  stored with it), and every unseen tuple's rank is at least
-  ``q_n - 1`` (equation 9).  The scan stops once the k-th smallest
-  exact rank falls below that bound.
+  ``E[|W|]`` is needed up front; each accessed tuple's expected rank is
+  *exact* (equation 8 only references higher-score tuples plus the
+  tuple's own rule, which is stored with it), and every unseen tuple's
+  rank is at least ``G_n - 1`` (equation 9).  The scan stops at the
+  first ``n`` at which the k-th smallest seen rank is at most that
+  bound.  The k-th smallest seen rank never rises with ``n`` and the
+  bound never falls, so the stop test is monotone: the stop point is
+  found by galloping over prefix lengths ``k, 2k, 4k, ...`` and a
+  binary search inside the last step, and equals the tuple-at-a-time
+  scan's exactly.
+
+The tuple-at-a-time forms live in :mod:`repro.core.reference` as test
+oracles and experiment baselines.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Sequence
+import numpy as np
 
+from repro.core.columnar import TupleColumns
 from repro.core.result import RankedItem, TopKResult
 from repro.exceptions import RankingError
 from repro.models.possible_worlds import TieRule, _check_ties
-from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
+from repro.models.tuple_level import TupleLevelRelation
 from repro.obs import count, get_registry, profiled
 
 __all__ = [
     "tuple_expected_ranks",
-    "tuple_expected_ranks_quadratic",
     "tuple_expected_ranks_vectorized",
     "t_erank",
     "t_erank_prune",
 ]
 
-
-def _beats(
-    challenger: TupleLevelTuple,
-    target: TupleLevelTuple,
-    positions: dict[str, int],
-    ties: TieRule,
-) -> bool:
-    """Whether ``challenger`` ranks above ``target`` when both appear."""
-    if challenger.score > target.score:
-        return True
-    # Ties are exact equality of input scores.  # repro: noqa RPR002
-    if ties == "by_index" and challenger.score == target.score:
-        return positions[challenger.tid] < positions[target.tid]
-    return False
+#: The prune trajectory keeps about this many evenly spaced points.
+_TRAJECTORY_POINTS = 64
 
 
-def _rule_aggregates(
-    relation: TupleLevelRelation,
-    row: TupleLevelTuple,
-    positions: dict[str, int],
-    ties: TieRule,
-) -> tuple[float, float]:
-    """(mass of same-rule tuples that beat ``row``, total same-rule mass).
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """For each element, the index where its run of equal keys starts."""
+    size = keys[0].size
+    boundary = np.zeros(size, dtype=bool)
+    boundary[:1] = True
+    for key in keys:
+        boundary[1:] |= key[1:] != key[:-1]
+    return np.maximum.accumulate(np.where(boundary, np.arange(size), 0))
 
-    Both sums exclude ``row`` itself.  Rules have constant size, so
-    this is ``O(1)`` per tuple in the paper's cost model.
+
+def _same_rule_terms(
+    columns: TupleColumns, ties: TieRule
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per tuple position: the same-rule mass that beats it, and the
+    mass of the rest of its rule.
+
+    Only multi-member rules contribute.  Rules of one size form one
+    ``(rules, size)`` matrix, and the sums run over members in rule
+    order, adding ``0.0`` for members that do not count — the same
+    additions, in the same order, as the per-tuple scan makes.
     """
-    beating = 0.0
-    total = 0.0
-    for tid in relation.rule_of(row.tid):
-        if tid == row.tid:
-            continue
-        other = relation.tuple_by_id(tid)
-        total += other.probability
-        if _beats(other, row, positions, ties):
-            beating += other.probability
-    return beating, total
+    beating = np.zeros(columns.size)
+    others = np.zeros(columns.size)
+    offsets = columns.member_offsets
+    sizes = np.diff(offsets)
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        starts = offsets[:-1][sizes == size]
+        members = columns.members[starts[:, None] + np.arange(size)]
+        probs = columns.probs[members]
+        scores = columns.scores[members]
+        beat_sum = np.zeros(members.shape)
+        other_sum = np.zeros(members.shape)
+        for column in range(size):
+            challenger = probs[:, column : column + 1]
+            score = scores[:, column : column + 1]
+            beats = score > scores
+            if ties == "by_index":
+                # exact input-score ties  # repro: noqa RPR002
+                beats |= (score == scores) & (
+                    members[:, column : column + 1] < members
+                )
+            beat_sum += np.where(beats, challenger, 0.0)
+            other_sum += np.where(
+                np.arange(size) != column, challenger, 0.0
+            )
+        beating[members] = beat_sum
+        others[members] = other_sum
+    return beating, others
 
 
-def _expected_rank(
-    row: TupleLevelTuple,
-    higher_mass: float,
-    same_rule_higher: float,
-    same_rule_total: float,
-    expected_world_size: float,
-) -> float:
-    """Equation (7)/(8) of the paper for one tuple.
+def _access_ranks(
+    columns: TupleColumns,
+    ties: TieRule,
+    length: int,
+    same_rule: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equation (8) for the first ``length`` tuples in access order.
 
-    ``higher_mass`` is the total probability mass of tuples that beat
-    ``row`` (over the whole relation); the same-rule portions are
-    subtracted / added per the three-term decomposition.
+    Returns ``(ranks, above)``: entry ``i`` belongs to tuple
+    ``columns.order[i]``; ``above[i]`` is the mass with score strictly
+    above it (``G_n`` of the unseen bound).  ``same_rule`` is
+    :func:`_same_rule_terms`.  A prefix reads only its own tuples and
+    their rules, so a longer prefix extends a shorter one value for
+    value.
     """
-    present_term = row.probability * (higher_mass - same_rule_higher)
-    absent_rest = expected_world_size - row.probability - same_rule_total
-    return (
-        present_term
+    order = columns.order[:length]
+    probs = columns.probs[order]
+    before = np.zeros(length)
+    np.cumsum(probs[:-1], out=before[1:])
+    above = before[_run_starts(columns.scores[order])]
+    # Under shared ties only strictly higher scores beat a tuple.
+    higher = before if ties == "by_index" else above
+    same_rule_higher = same_rule[0][order]
+    same_rule_total = same_rule[1][order]
+    absent_rest = columns.expected_world_size - probs - same_rule_total
+    ranks = (
+        probs * (higher - same_rule_higher)
         + same_rule_total
-        + (1.0 - row.probability) * absent_rest
+        + (1.0 - probs) * absent_rest
     )
+    return ranks, above
 
 
 @profiled("t_erank")
+def _expected_rank_vector(
+    relation: TupleLevelRelation, ties: TieRule
+) -> tuple[TupleColumns, np.ndarray]:
+    """The relation's columns and every expected rank, by position."""
+    _check_ties(ties)
+    columns = relation.columns()
+    count("t_erank.tuples_accessed", columns.size)
+    ranks = np.empty(columns.size)
+    ranks[columns.order] = _access_ranks(
+        columns, ties, columns.size, _same_rule_terms(columns, ties)
+    )[0]
+    return columns, ranks
+
+
 def tuple_expected_ranks(
     relation: TupleLevelRelation,
     *,
     ties: TieRule = "shared",
 ) -> dict[str, float]:
     """Exact expected rank of every tuple — the core of T-ERank."""
-    _check_ties(ties)
-    count("t_erank.tuples_accessed", relation.size)
-    positions = {row.tid: index for index, row in enumerate(relation)}
-    ordered = relation.order_by_score()
-    expected_world_size = relation.expected_world_size()
-
-    # higher_mass per tuple: exclusive prefix sums over the sorted
-    # order.  Under "shared" ties all members of a tie group share the
-    # group-start prefix (only strictly greater scores count).
-    higher_mass: dict[str, float] = {}
-    running = 0.0
-    index = 0
-    while index < len(ordered):
-        group_end = index
-        score = ordered[index].score
-        # Tie groups: exact input-score runs.  # repro: noqa RPR002
-        while group_end < len(ordered) and ordered[group_end].score == score:
-            group_end += 1
-        group_running = running
-        for offset in range(index, group_end):
-            row = ordered[offset]
-            if ties == "shared":
-                higher_mass[row.tid] = running
-            else:
-                higher_mass[row.tid] = group_running
-                group_running += row.probability
-        running += math.fsum(
-            ordered[offset].probability
-            for offset in range(index, group_end)
-        )
-        index = group_end
-
-    ranks: dict[str, float] = {}
-    for row in relation:
-        same_rule_higher, same_rule_total = _rule_aggregates(
-            relation, row, positions, ties
-        )
-        ranks[row.tid] = _expected_rank(
-            row,
-            higher_mass[row.tid],
-            same_rule_higher,
-            same_rule_total,
-            expected_world_size,
-        )
-    return ranks
+    columns, ranks = _expected_rank_vector(relation, ties)
+    return dict(zip(columns.tids, ranks.tolist()))
 
 
-@profiled("t_erank_vectorized")
-def tuple_expected_ranks_vectorized(
-    relation: TupleLevelRelation,
-    *,
-    ties: TieRule = "shared",
-) -> dict[str, float]:
-    """Numpy batch evaluation of equation (8) — the T-ERank arithmetic
-    as a handful of vector operations.
+#: The same kernel under the name the ``t_erank_vectorized`` bench
+#: metrics use.
+tuple_expected_ranks_vectorized = tuple_expected_ranks
 
-    One argsort by score yields the higher-probability-mass prefix
-    sums (strictly-greater under ``shared`` ties via tie-group
-    boundaries); rule aggregates are accumulated with ``np.add.at``
-    over rule indices.  Same asymptotics as
-    :func:`tuple_expected_ranks` with modestly smaller constants
-    (~1.4x at N = 100k — the scalar pass is already dominated by rule
-    bookkeeping, unlike the attribute-level case where vectorisation
-    wins 10x).  Cross-checked against the scalar reference in tests.
-    """
-    _check_ties(ties)
-    import numpy as np
 
-    size = relation.size
-    count("t_erank_vectorized.tuples_accessed", size)
-    if size == 0:
-        return {}
-    scores = np.array([row.score for row in relation])
-    probabilities = np.array([row.probability for row in relation])
-    expected_world_size = float(probabilities.sum())
-
-    # Sorted by (score desc, insertion asc): lexsort on (index, -score).
-    order = np.lexsort((np.arange(size), -scores))
-    sorted_probabilities = probabilities[order]
-    exclusive_prefix = np.concatenate(
-        ([0.0], np.cumsum(sorted_probabilities)[:-1])
-    )
-    if ties == "by_index":
-        higher_sorted = exclusive_prefix
+def _top_k(ranks: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` smallest ranks, by (rank, position)."""
+    if k <= 0:
+        return np.zeros(0, dtype=np.int64)
+    if k < ranks.size:
+        kth = np.partition(ranks, k - 1)[k - 1]
+        chosen = np.flatnonzero(ranks <= kth)
     else:
-        sorted_scores = scores[order]
-        is_new_group = np.empty(size, dtype=bool)
-        is_new_group[0] = True
-        np.not_equal(
-            sorted_scores[1:], sorted_scores[:-1], out=is_new_group[1:]
-        )
-        group_ids = np.cumsum(is_new_group) - 1
-        group_starts = np.nonzero(is_new_group)[0]
-        higher_sorted = exclusive_prefix[group_starts][group_ids]
-    higher_mass = np.empty(size)
-    higher_mass[order] = higher_sorted
-
-    # Per-rule aggregates: total mass and mass beating each member.
-    rule_index_of: dict[str, int] = {}
-    rule_ids = np.empty(size, dtype=np.int64)
-    for index, row in enumerate(relation):
-        rule = relation.rule_of(row.tid)
-        rule_ids[index] = rule_index_of.setdefault(
-            rule.rule_id, len(rule_index_of)
-        )
-    rule_count = len(rule_index_of)
-    rule_mass = np.zeros(rule_count)
-    np.add.at(rule_mass, rule_ids, probabilities)
-    same_rule_total = rule_mass[rule_ids] - probabilities
-
-    # Mass of same-rule tuples that beat each member: rules are small,
-    # so a per-rule pass is cheap (O(sum |rule|^2) = O(N) for constant
-    # rule sizes).
-    same_rule_higher = np.zeros(size)
-    members_of: dict[int, list[int]] = {}
-    for index in range(size):
-        members_of.setdefault(int(rule_ids[index]), []).append(index)
-    for members in members_of.values():
-        if len(members) < 2:
-            continue
-        for target in members:
-            total = 0.0
-            for challenger in members:
-                if challenger == target:
-                    continue
-                if scores[challenger] > scores[target] or (
-                    ties == "by_index"
-                    and scores[challenger] == scores[target]
-                    and challenger < target
-                ):
-                    total += probabilities[challenger]
-            same_rule_higher[target] = total
-
-    present = probabilities * (higher_mass - same_rule_higher)
-    absent_rest = (
-        expected_world_size - probabilities - same_rule_total
-    )
-    ranks = (
-        present
-        + same_rule_total
-        + (1.0 - probabilities) * absent_rest
-    )
-    return {
-        row.tid: float(ranks[index])
-        for index, row in enumerate(relation)
-    }
-
-
-@profiled("t_erank_bfs")
-def tuple_expected_ranks_quadratic(
-    relation: TupleLevelRelation,
-    *,
-    ties: TieRule = "shared",
-) -> dict[str, float]:
-    """Brute-force evaluation of equation (7), one pairwise pass per
-    tuple — the ``O(N^2)`` comparison point of experiment E7."""
-    _check_ties(ties)
-    positions = {row.tid: index for index, row in enumerate(relation)}
-    expected_world_size = relation.expected_world_size()
-    ranks: dict[str, float] = {}
-    for row in relation:
-        higher_mass = 0.0
-        for other in relation:
-            if other.tid != row.tid and _beats(
-                other, row, positions, ties
-            ):
-                higher_mass += other.probability
-        same_rule_higher, same_rule_total = _rule_aggregates(
-            relation, row, positions, ties
-        )
-        ranks[row.tid] = _expected_rank(
-            row,
-            higher_mass,
-            same_rule_higher,
-            same_rule_total,
-            expected_world_size,
-        )
-    return ranks
-
-
-def _select_top_k(
-    relation_order: Sequence[str],
-    ranks: dict[str, float],
-    k: int,
-) -> list[tuple[str, float]]:
-    order = {tid: index for index, tid in enumerate(relation_order)}
-    return heapq.nsmallest(
-        k, ranks.items(), key=lambda item: (item[1], order[item[0]])
-    )
+        chosen = np.arange(ranks.size)
+    chosen = chosen[np.lexsort((positions[chosen], ranks[chosen]))]
+    return chosen[:k]
 
 
 def _as_result(
     method: str,
     k: int,
-    winners: Sequence[tuple[str, float]],
+    tids: list[str],
+    values: list[float],
     statistics: dict[str, float],
     metadata: dict[str, object],
 ) -> TopKResult:
     items = tuple(
         RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
+        for position, (tid, value) in enumerate(zip(tids, values))
     )
     return TopKResult(
         method=method,
@@ -328,15 +209,94 @@ def t_erank(
     """Exact top-k by expected rank (algorithm T-ERank)."""
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
-    ranks = tuple_expected_ranks(relation, ties=ties)
-    winners = _select_top_k(relation.tids(), ranks, k)
+    columns, ranks = _expected_rank_vector(relation, ties)
+    winners = _top_k(ranks, np.arange(columns.size), k)
     return _as_result(
         "expected_rank",
         k,
-        winners,
-        ranks,
-        {"tuples_accessed": relation.size, "exact": True, "ties": ties},
+        [columns.tids[index] for index in winners.tolist()],
+        ranks[winners].tolist(),
+        dict(zip(columns.tids, ranks.tolist())),
+        {"tuples_accessed": columns.size, "exact": True, "ties": ties},
     )
+
+
+def _kth_smallest(ranks: np.ndarray, k: int, length: int) -> float:
+    """The k-th smallest of the first ``length`` ranks (``length >= k``)."""
+    return float(np.partition(ranks[:length], k - 1)[k - 1])
+
+
+def _halts(
+    ranks: np.ndarray, above: np.ndarray, k: int, length: int
+) -> bool:
+    """Whether the scan stops after ``length >= k`` accesses."""
+    return _kth_smallest(ranks, k, length) <= above[length - 1] - 1.0
+
+
+def _scan(
+    columns: TupleColumns, ties: TieRule, k: int
+) -> tuple[int, bool, np.ndarray, np.ndarray]:
+    """Where the scan stops: ``(accessed, halted, ranks, above)``.
+
+    The ranks and bounds cover a prefix at least ``accessed`` long.
+    :func:`_halts` is monotone in the prefix length, so a galloping
+    search over ``k, 2k, 4k, ...`` brackets the first length that halts
+    and a binary search inside the bracket finds it.
+    """
+    size = columns.size
+    same_rule = _same_rule_terms(columns, ties)
+    low, high = k - 1, min(k, size)  # no prefix shorter than k halts
+    while True:
+        ranks, above = _access_ranks(columns, ties, high, same_rule)
+        if high >= k and _halts(ranks, above, k, high):
+            break
+        if high == size:
+            return size, False, ranks, above
+        low, high = high, min(2 * high, size)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if _halts(ranks, above, k, middle):
+            high = middle
+        else:
+            low = middle
+    return high, True, ranks, above
+
+
+def _trajectory(
+    ranks: np.ndarray,
+    above: np.ndarray,
+    k: int,
+    accessed: int,
+    halted: bool,
+    size: int,
+) -> tuple[dict, ...]:
+    """The bound trajectory of the scan, downsampled for EXPLAIN.
+
+    The points are every ``stride``-th access plus the last one; the
+    k smallest ranks are carried from point to point.
+    """
+    stride = max(1, size // _TRAJECTORY_POINTS)
+    lengths = list(range(stride, accessed + 1, stride))
+    last = accessed and (halted or accessed == size)
+    if last and lengths[-1:] != [accessed]:
+        lengths.append(accessed)
+    points: list[dict] = []
+    best, done = np.zeros(0), 0
+    for length in lengths:
+        kth: float | None = None
+        if length >= k:
+            merged = np.concatenate((best, ranks[done:length]))
+            best = np.partition(merged, k - 1)[:k]
+            done = length
+            kth = float(best[k - 1])
+        points.append(
+            {
+                "accessed": length,
+                "kth_rank": kth,
+                "unseen_bound": float(above[length - 1] - 1.0),
+            }
+        )
+    return tuple(points)
 
 
 @profiled("t_erank_prune")
@@ -350,111 +310,55 @@ def t_erank_prune(
 
     Assumes (as the paper does) that ``E[|W|]`` is maintained by the
     store and that accessing a tuple also reveals its exclusion rule.
-    Each scanned tuple's expected rank is exact; the scan stops as soon
-    as the k-th smallest of them is at most the unseen lower bound.
+    Each accessed tuple's expected rank is exact; the scan stops at the
+    first tuple after which the k-th smallest of them is at most the
+    unseen lower bound.
 
-    The unseen bound used is ``G_n - 1`` where ``G_n`` is the seen mass
-    with score *strictly above* the current tuple's — equal to the
+    The unseen bound used is ``G_n - 1`` where ``G_n`` is the accessed
+    mass with score *strictly above* the current tuple's — equal to the
     paper's ``q_n - 1`` when scores are distinct, and still sound in
     the presence of ties under either tie rule.
     """
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
     _check_ties(ties)
-    positions = {row.tid: index for index, row in enumerate(relation)}
-    ordered = relation.order_by_score()
-    expected_world_size = relation.expected_world_size()
-
-    ranks_seen: dict[str, float] = {}
-    # Max-heap (negated) of the k smallest exact ranks seen so far.
-    worst_of_best: list[float] = []
-    halted_early = False
-    accessed = 0
-
-    # Bound trajectory for EXPLAIN: only while observability is on
-    # (the disabled path pays one pointer compare per tuple), and
-    # downsampled to a bounded number of points.
-    trajectory: list[dict] | None = (
-        [] if get_registry().enabled else None
-    )
-    stride = max(1, len(ordered) // 64)
-
-    running = 0.0  # mass of all tuples scanned so far
-    strict_before_group = 0.0  # mass with score strictly above current
-    group_running = 0.0  # by-index exclusive mass within the tie group
-    previous_score: float | None = None
-
-    for row in ordered:
-        # previous_score is a copied input score.  # repro: noqa RPR002
-        if previous_score is None or row.score != previous_score:
-            strict_before_group = running
-            group_running = running
-            previous_score = row.score
-        higher_mass = (
-            strict_before_group if ties == "shared" else group_running
-        )
-        group_running += row.probability
-        running += row.probability
-        accessed += 1
-
-        same_rule_higher, same_rule_total = _rule_aggregates(
-            relation, row, positions, ties
-        )
-        rank = _expected_rank(
-            row,
-            higher_mass,
-            same_rule_higher,
-            same_rule_total,
-            expected_world_size,
-        )
-        ranks_seen[row.tid] = rank
-
-        if len(worst_of_best) < k:
-            heapq.heappush(worst_of_best, -rank)
-        elif k > 0 and rank < -worst_of_best[0]:
-            heapq.heapreplace(worst_of_best, -rank)
-
-        if k == 0:
-            halted_early = True
-            break
-        unseen_bound = strict_before_group - 1.0
-        halting = (
-            len(worst_of_best) == k and -worst_of_best[0] <= unseen_bound
-        )
-        if trajectory is not None and (
-            halting or accessed % stride == 0 or accessed == len(ordered)
-        ):
-            trajectory.append(
-                {
-                    "accessed": accessed,
-                    "kth_rank": (
-                        -worst_of_best[0]
-                        if len(worst_of_best) == k
-                        else None
-                    ),
-                    "unseen_bound": unseen_bound,
-                }
+    columns = relation.columns()
+    size = columns.size
+    trajectory: tuple[dict, ...] = ()
+    if k == 0:
+        # k = 0 halts after the first access, before any bound check.
+        accessed = min(size, 1)
+        halted_early = accessed == 1
+        ranks = _access_ranks(
+            columns, ties, accessed, _same_rule_terms(columns, ties)
+        )[0]
+    else:
+        accessed, halted_early, ranks, above = _scan(columns, ties, k)
+        if get_registry().enabled:
+            trajectory = _trajectory(
+                ranks, above, k, accessed, halted_early, size
             )
-        if halting:
-            halted_early = True
-            break
 
     count("t_erank_prune.tuples_accessed", accessed)
     if halted_early:
         count("t_erank_prune.halted_early")
-    winners = _select_top_k(relation.tids(), ranks_seen, k)
+    order = columns.order
+    seen = ranks[:accessed]
+    seen_tids = [columns.tids[index] for index in order[:accessed].tolist()]
+    winners = _top_k(seen, order[:accessed], k).tolist()
     metadata: dict[str, object] = {
         "tuples_accessed": accessed,
         "halted_early": halted_early,
         "exact": True,  # seen ranks are exact, and the top-k is global
         "ties": ties,
     }
-    if trajectory is not None:
-        metadata["prune_trajectory"] = tuple(trajectory)
+    if get_registry().enabled:
+        metadata["prune_trajectory"] = trajectory
     return _as_result(
         "expected_rank_prune",
         k,
-        winners,
-        ranks_seen,
+        [seen_tids[index] for index in winners],
+        seen[winners].tolist(),
+        dict(zip(seen_tids, seen.tolist())),
         metadata,
     )

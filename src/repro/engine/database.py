@@ -75,7 +75,6 @@ class ProbabilisticDatabase:
     def __init__(self) -> None:
         self._relations: dict[str, Relation] = {}
         self._query_log: list[QueryLogEntry] = []
-        self._digests: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Catalog operations
@@ -99,14 +98,12 @@ class ProbabilisticDatabase:
         if name not in self._relations:
             raise RelationNotFoundError(f"no relation named {name!r}")
         self._relations[name] = relation
-        self._digests.pop(name, None)
 
     def drop_relation(self, name: str) -> None:
         """Remove a relation from the catalog."""
         if name not in self._relations:
             raise RelationNotFoundError(f"no relation named {name!r}")
         del self._relations[name]
-        self._digests.pop(name, None)
 
     def relation(self, name: str) -> Relation:
         """Fetch a relation by name."""
@@ -122,21 +119,15 @@ class ProbabilisticDatabase:
         return tuple(self._relations)
 
     def relation_digest(self, name: str) -> str:
-        """Stable content digest of a stored relation, cached.
+        """Stable content digest of a stored relation.
 
-        Relations in the catalog are immutable between
-        :meth:`replace_relation` calls, so the digest is computed once
-        per (name, contents) and reused — the serving layer keys
-        request coalescing on it per query, which must not cost a
-        canonical-JSON serialisation every time.
+        Relations are immutable, and each relation object computes its
+        digest once, on first use (``relation.digest()``).  The serving
+        layer keys request coalescing on it and capture records it per
+        query; both read that one value, and :meth:`replace_relation`
+        installs a new object with its own digest.
         """
-        from repro.obs.capture import relation_digest
-
-        digest = self._digests.get(name)
-        if digest is None:
-            digest = relation_digest(self.relation(name))
-            self._digests[name] = digest
-        return digest
+        return self.relation(name).digest()
 
     def __contains__(self, name: object) -> bool:
         return name in self._relations

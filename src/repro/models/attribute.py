@@ -17,6 +17,7 @@ import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import ModelError
+from repro.models.memo import VersionMemo
 from repro.models.pdf import DiscretePDF
 
 __all__ = ["AttributeTuple", "AttributeLevelRelation"]
@@ -70,12 +71,15 @@ class AttributeTuple:
         return hash((self.tid, self.score))
 
 
-class AttributeLevelRelation:
+class AttributeLevelRelation(VersionMemo):
     """An ordered collection of :class:`AttributeTuple` rows.
 
     Tuple order is the tie-breaking order used by Section 7 of the
     paper (ties rank the earlier tuple first), so the relation preserves
-    insertion order and exposes positional indices.
+    insertion order and exposes positional indices.  The relation is
+    immutable; its digest and
+    :class:`~repro.core.columnar.AttributeColumns` are built on first
+    use and kept (:mod:`repro.models.memo`).
 
     Examples
     --------
@@ -92,6 +96,8 @@ class AttributeLevelRelation:
     4
     """
 
+    _COLUMNS = "AttributeColumns"
+
     def __init__(self, tuples: Iterable[AttributeTuple]) -> None:
         self._tuples: list[AttributeTuple] = list(tuples)
         self._index: dict[str, int] = {}
@@ -103,6 +109,7 @@ class AttributeLevelRelation:
             if row.tid in self._index:
                 raise ModelError(f"duplicate tuple id {row.tid!r}")
             self._index[row.tid] = position
+        self._reset_memo()
 
     # ------------------------------------------------------------------
     # Collection protocol

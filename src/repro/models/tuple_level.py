@@ -14,6 +14,7 @@ import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import ModelError
+from repro.models.memo import VersionMemo
 from repro.models.pdf import PROBABILITY_TOLERANCE
 from repro.models.rules import ExclusionRule, cover_with_singletons
 
@@ -74,12 +75,14 @@ class TupleLevelTuple:
         return hash((self.tid, self.score, self.probability))
 
 
-class TupleLevelRelation:
+class TupleLevelRelation(VersionMemo):
     """An x-relation: tuples with membership probabilities plus rules.
 
     Tuples keep insertion order, which doubles as the tie-breaking
     order for equal scores.  Rules not covering every tuple are
-    completed with implied singleton rules.
+    completed with implied singleton rules.  The relation is immutable;
+    its digest and :class:`~repro.core.columnar.TupleColumns` are built
+    on first use and kept (:mod:`repro.models.memo`).
 
     Examples
     --------
@@ -98,6 +101,8 @@ class TupleLevelRelation:
     2.4
     """
 
+    _COLUMNS = "TupleColumns"
+
     def __init__(
         self,
         tuples: Iterable[TupleLevelTuple],
@@ -114,8 +119,10 @@ class TupleLevelRelation:
                 raise ModelError(f"duplicate tuple id {row.tid!r}")
             self._index[row.tid] = position
 
+        explicit = list(rules or [])
+        self._explicit_rule_count = len(explicit)
         self._rules: list[ExclusionRule] = cover_with_singletons(
-            list(rules or []), [row.tid for row in self._tuples]
+            explicit, [row.tid for row in self._tuples]
         )
         probability_of = {
             row.tid: row.probability for row in self._tuples
@@ -125,6 +132,7 @@ class TupleLevelRelation:
             rule.validate_probabilities(probability_of)
             for tid in rule:
                 self._rule_of[tid] = rule
+        self._reset_memo()
 
     # ------------------------------------------------------------------
     # Collection protocol
@@ -143,6 +151,11 @@ class TupleLevelRelation:
     def rules(self) -> Sequence[ExclusionRule]:
         """All rules, explicit first, implied singletons after."""
         return tuple(self._rules)
+
+    @property
+    def explicit_rules(self) -> Sequence[ExclusionRule]:
+        """The rules given at construction (a prefix of :attr:`rules`)."""
+        return tuple(self._rules[: self._explicit_rule_count])
 
     @property
     def rule_count(self) -> int:
@@ -247,12 +260,7 @@ class TupleLevelRelation:
             raise ModelError(f"no tuple with id {replacement.tid!r}")
         rows = list(self._tuples)
         rows[self._index[replacement.tid]] = replacement
-        explicit = [
-            rule
-            for rule in self._rules
-            if not rule.rule_id.startswith("__singleton_")
-        ]
-        return TupleLevelRelation(rows, rules=explicit)
+        return TupleLevelRelation(rows, rules=self.explicit_rules)
 
     def map_scores(self, transform) -> "TupleLevelRelation":
         """Apply ``transform`` to every score (value-invariance tests)."""
@@ -265,12 +273,7 @@ class TupleLevelRelation:
             )
             for row in self._tuples
         ]
-        explicit = [
-            rule
-            for rule in self._rules
-            if not rule.rule_id.startswith("__singleton_")
-        ]
-        return TupleLevelRelation(rows, rules=explicit)
+        return TupleLevelRelation(rows, rules=self.explicit_rules)
 
     def __repr__(self) -> str:
         return (

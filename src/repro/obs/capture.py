@@ -67,6 +67,8 @@ def relation_digest(relation: "Relation") -> str:
     Hashes the canonical JSON document of
     :func:`repro.engine.io.relation_document`, so the digest survives
     save/load round-trips and identifies the *data*, not the object.
+    This computes it from scratch; ``relation.digest()`` computes it
+    once per relation object and is what the query path reads.
     """
     from repro.engine.io import relation_document
 
@@ -232,7 +234,7 @@ class CaptureLog:
                 else "tuple"
             ),
             "n": relation.size,
-            "dataset_digest": relation_digest(relation),
+            "dataset_digest": relation.digest(),
             "k": k,
             "method": method,
             "options": _json_safe(options),

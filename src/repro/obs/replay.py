@@ -37,11 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from repro.obs.capture import (
-    answer_digest,
-    read_jsonl,
-    relation_digest,
-)
+from repro.obs.capture import answer_digest, read_jsonl
 from repro.obs.metrics import count
 from repro.obs.trace import emit_event
 
@@ -352,7 +348,7 @@ def replay_capture(
     are ignored.
     """
     records, problems = read_jsonl(capture_path)
-    digest = relation_digest(relation)
+    digest = relation.digest()
     results = []
     for record in records:
         if record.get("type") != "query":

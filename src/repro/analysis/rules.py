@@ -813,8 +813,8 @@ class AccountingOutsideLedger(Rule):
         "numbers no fake clock can drive (untestable arithmetic) and "
         "no ledger ever sees (invisible cost); with accounting off "
         "it is also a clock read the bit-identical fault-free path "
-        "promised not to make.  Meter through "
-        "query_accounting()/CostLedger.meter() instead."
+        "promised not to make.  Run the query inside "
+        "query_scope(), or meter through CostLedger.meter(), instead."
     )
     node_types = (ast.Call,)
 
@@ -826,9 +826,9 @@ class AccountingOutsideLedger(Rule):
         if target in _CPU_CLOCKS:
             yield node, (
                 f"{target}() reads a CPU/resource clock outside the "
-                "repro.obs.costs chokepoint; meter through "
-                "query_accounting()/CostLedger.meter() so the read "
-                "is injectable and the cost lands in the ledger"
+                "repro.obs.costs chokepoint; run the query inside "
+                "query_scope() or meter through CostLedger.meter() so "
+                "the read is injectable and the cost lands in the ledger"
             )
         elif (
             isinstance(node.func, ast.Attribute)
@@ -838,8 +838,8 @@ class AccountingOutsideLedger(Rule):
         ):
             yield node, (
                 "direct ledger .record() call outside "
-                "repro.obs.costs; meter through "
-                "query_accounting()/CostLedger.meter() so clocks, "
+                "repro.obs.costs; run the query inside query_scope() "
+                "or meter through CostLedger.meter() so clocks, "
                 "aggregates, and drift stay consistent"
             )
 
@@ -1033,14 +1033,13 @@ class ContextVarClaimLeak(Rule):
         "ContextVar .set() whose reset token escapes an exit path"
     )
     rationale = (
-        "The capture and accounting chokepoints guard reentrancy "
-        "with a ContextVar claim: token = var.set(...), work, "
-        "var.reset(token).  If any exit path — an early return, or "
-        "an exception out of the work — skips the reset, the context "
-        "stays claimed and every later query in that task is "
-        "silently refused its instrumentation.  This rule finds the "
-        "claim's CFG node and requires that no path reaches the "
-        "function exit without passing a matching reset; try/finally "
+        "The query scope and spans set a ContextVar around one piece "
+        "of work: token = var.set(...), work, var.reset(token).  If "
+        "any exit path — an early return, or an exception out of the "
+        "work — skips the reset, every later query in that task joins "
+        "a scope that never closes and goes unrecorded.  This rule "
+        "finds the set's CFG node and requires that no path reaches "
+        "the function exit without passing a matching reset; try/finally "
         "satisfies it, straight-line code does not.  Tokens stored "
         "on attributes (self._token = var.set(...)) are exempt: "
         "that is the context-manager protocol, whose __exit__ lives "

@@ -10,7 +10,6 @@ query log the experiments can inspect.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -19,8 +18,8 @@ from repro.core.result import TopKResult
 from repro.core.semantics import rank
 from repro.engine.io import load_json, save_json
 from repro.obs import trace
-from repro.obs.capture import query_capture
-from repro.obs.costs import query_accounting
+from repro.obs.capture import query_outcome
+from repro.obs.scope import query_scope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.query import ResilientExecutor
@@ -177,17 +176,14 @@ class ProbabilisticDatabase:
         exact path; the log entry then records whether (and to what)
         the answer degraded.
 
-        When an ambient :class:`~repro.obs.capture.CaptureLog` is
-        installed, the query is additionally recorded there —
-        ``db.topk`` claims the capture point, so a nested executor
-        does not record the same query twice.  The ambient
-        :class:`~repro.obs.costs.CostLedger` works the same way: the
-        outermost claimer meters the query, so serving-layer metering
-        (which attributes a tenant) wins over this entry point.
+        The query is captured and billed once, by the outermost
+        :func:`~repro.obs.scope.query_scope`; this method adds the name,
+        the version it ranked, the executor and its span's trace id.
         """
         relation = self.relation(name)
-        with query_capture() as capture, query_accounting() as meter:
-            start = time.perf_counter()
+        with query_scope(
+            relation, k, method, options, relation_name=name, executor=executor
+        ) as record:
             # The db.topk span is the query's root: the planner,
             # kernel, retry, and degradation spans all nest under it
             # and inherit its trace id, which the log entry records
@@ -203,47 +199,22 @@ class ProbabilisticDatabase:
                     result = rank(
                         relation, k, method=method, **options
                     )
-            accessed = result.metadata.get("tuples_accessed")
-            degraded = bool(result.metadata.get("degraded", False))
+            outcome = query_outcome(result, span.trace_id)
+            if record is not None:
+                record.result, record.outcome = result, outcome
             self._query_log.append(
                 QueryLogEntry(
                     relation=name,
                     method=method,
                     k=k,
                     options=dict(options),
-                    tuples_accessed=(
-                        int(accessed) if accessed is not None else None
-                    ),
+                    tuples_accessed=outcome.tuples_accessed,
                     answer=result.tids(),
-                    degraded=degraded,
-                    fallback_method=(
-                        str(result.metadata["fallback_method"])
-                        if degraded
-                        else None
-                    ),
-                    trace_id=span.trace_id,
+                    degraded=outcome.degraded,
+                    fallback_method=outcome.fallback_method,
+                    trace_id=outcome.trace_id,
                 )
             )
-            if capture is not None:
-                capture.record_query(
-                    relation,
-                    result,
-                    k=k,
-                    method=method,
-                    options=options,
-                    wall_seconds=time.perf_counter() - start,
-                    relation_name=name,
-                    executor=executor,
-                    trace_id=span.trace_id,
-                )
-            if meter is not None:
-                meter.finish(
-                    result,
-                    k=k,
-                    n=relation.size,
-                    method=method,
-                    trace_id=span.trace_id,
-                )
         return result
 
     @property

@@ -36,10 +36,9 @@ from repro.exceptions import (
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.tuple_level import TupleLevelRelation
 from repro.obs import count, emit_event, trace
-from repro.obs.capture import query_capture
 from repro.obs.costmodel import CostEstimate, CostModel
-from repro.obs.costs import query_accounting
 from repro.obs.logging import get_logger
+from repro.obs.scope import query_scope
 from repro.robust import (
     BreakerBoard,
     Deadline,
@@ -476,39 +475,18 @@ class ResilientExecutor:
         negative ``k``, unsupported model, ...) — never for transient
         faults or deadline pressure, which are absorbed by the ladder.
 
-        When an ambient :class:`~repro.obs.capture.CaptureLog` is
-        installed (and no outer layer such as ``db.topk`` has already
-        claimed it), the query is recorded there with this executor's
-        full resilience configuration, so a replay can rebuild an
-        identical ladder.
+        Its :func:`~repro.obs.scope.query_scope` carries this executor,
+        so a capture line holds the configuration a replay rebuilds.
         """
-        with query_capture() as capture, query_accounting() as meter:
-            if capture is None and meter is None:
-                return self._execute_ladder(
-                    relation, k, method, **options
-                )
-            start = time.perf_counter()
+        with query_scope(
+            relation, k, method, options, executor=self
+        ) as record:
             result = self._execute_ladder(
                 relation, k, method, **options
             )
-            if capture is not None:
-                capture.record_query(
-                    relation,
-                    result,
-                    k=k,
-                    method=method,
-                    options=options,
-                    wall_seconds=time.perf_counter() - start,
-                    executor=self,
-                )
-            if meter is not None:
-                meter.finish(
-                    result,
-                    k=k,
-                    n=relation.size,
-                    method=method,
-                )
-            return result
+            if record is not None:
+                record.result = result
+        return result
 
     def _execute_ladder(
         self,

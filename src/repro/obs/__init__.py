@@ -17,6 +17,8 @@ The layer the benchmarks, the CLI and CI's perf smoke all read from:
 * :class:`CostLedger` / :class:`CostModel` — per-query resource
   accounting against a calibrated planner cost model
   (:mod:`repro.obs.costs`, :mod:`repro.obs.costmodel`);
+* :func:`query_scope` — one record per executed query, from which
+  its capture line and ledger entry are written (:mod:`repro.obs.scope`);
 * :class:`SamplingProfiler` — stdlib-only continuous sampling
   profiler with collapsed-stack and speedscope output
   (:mod:`repro.obs.profiler`);
@@ -51,7 +53,6 @@ from repro.obs.capture import (
     CaptureLog,
     answer_digest,
     get_capture,
-    query_capture,
     read_jsonl,
     relation_digest,
     set_capture,
@@ -70,7 +71,6 @@ from repro.obs.costs import (
     CostEntry,
     CostLedger,
     get_cost_ledger,
-    query_accounting,
     set_cost_ledger,
 )
 from repro.obs.explain import (
@@ -85,6 +85,7 @@ from repro.obs.replay import (
     replay_capture,
 )
 from repro.obs.report import SessionReport, build_report
+from repro.obs.scope import query_scope
 from repro.obs.export import (
     OPENMETRICS_CONTENT_TYPE,
     escape_help,
@@ -191,8 +192,7 @@ __all__ = [
     "parse_prometheus",
     "parse_slo_specs",
     "profiled",
-    "query_accounting",
-    "query_capture",
+    "query_scope",
     "read_jsonl",
     "relation_digest",
     "replay_capture",

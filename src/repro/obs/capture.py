@@ -12,21 +12,20 @@ Capture is ambient, like the span sink: install a log with
 :func:`set_capture` (the CLI's ``--capture-out`` does this per
 invocation) and every query that flows through
 ``ProbabilisticDatabase.topk``, a
-:class:`~repro.engine.query.ResilientExecutor`, or the ``topk`` CLI
-records itself.  Nested layers claim the capture point through
-:func:`query_capture`, outermost wins, so one query is never recorded
-twice.  With no log installed the whole machinery is one ``None``
-check per query.
+:class:`~repro.engine.query.ResilientExecutor`, the serving core, or
+the ``topk`` CLI is written once, when its query scope
+(:func:`repro.obs.scope.query_scope`) closes.  :func:`query_outcome`
+is the one reading of ``result.metadata`` that the capture line, the
+cost-ledger entry and the query log share.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
-from contextvars import ContextVar
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Mapping
 
 from repro.obs.explain import _json_safe
 from repro.obs.metrics import count
@@ -43,9 +42,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "CAPTURE_SCHEMA_VERSION",
     "CaptureLog",
+    "QueryOutcome",
     "answer_digest",
     "get_capture",
-    "query_capture",
+    "query_outcome",
     "read_jsonl",
     "relation_digest",
     "resilience_config",
@@ -135,6 +135,45 @@ def resilience_config(
     return config
 
 
+@dataclass(frozen=True)
+class QueryOutcome:
+    """What ran: the fields a capture line, a ledger entry and a
+    ``QueryLogEntry`` share, read once off ``result.metadata``."""
+
+    tuples_accessed: int | None
+    degraded: bool
+    fallback_method: str | None
+    trace_id: str | None
+    #: The ladder rung that answered; ``direct`` without an executor.
+    rung: str
+
+
+def query_outcome(
+    result: "TopKResult", trace_id: str | None = None
+) -> QueryOutcome:
+    """Derive a :class:`QueryOutcome`; ``trace_id`` (the caller's
+    span) beats the executor's and the ambient trace id."""
+    metadata = result.metadata
+    accessed = metadata.get("tuples_accessed")
+    degraded = bool(metadata.get("degraded", False))
+    fallback = metadata.get("fallback_method") if degraded else None
+    rung = "direct"
+    if metadata.get("resilient"):
+        rung = "exact"
+        for step in metadata.get("ladder") or ():
+            if isinstance(step, Mapping) and step.get("outcome") == "ok":
+                rung = str(step.get("rung", rung))
+    return QueryOutcome(
+        tuples_accessed=None if accessed is None else int(accessed),
+        degraded=degraded,
+        fallback_method=None if fallback is None else str(fallback),
+        trace_id=(
+            trace_id or metadata.get("trace_id") or current_trace_id()
+        ),
+        rung=rung,
+    )
+
+
 def _plain_json(value: object) -> bool:
     """Whether ``value`` is natively JSON (no lossy repr coercion)."""
     if value is None or isinstance(value, (bool, int, float, str)):
@@ -187,25 +226,22 @@ class CaptureLog:
         wall_seconds: float | None = None,
         relation_name: str | None = None,
         executor: "ResilientExecutor | None" = None,
-        trace_id: str | None = None,
         annotations: Mapping[str, object] | None = None,
+        outcome: QueryOutcome | None = None,
     ) -> dict:
         """Append one executed query; returns the written record.
 
         ``annotations`` is a free-form extension point for layers
         above the engine: the serving core marks coalesced requests
         here (tenant, shared leader trace id), keeping the core record
-        layout stable.
+        layout stable.  ``outcome`` defaults to :func:`query_outcome`.
         """
         from repro.models.attribute import AttributeLevelRelation
 
         options = dict(options or {})
-        metadata = dict(result.metadata)
-        accessed = metadata.get("tuples_accessed")
-        degraded = bool(metadata.get("degraded", False))
-        resilience = resilience_config(executor)
-        if trace_id is None:
-            trace_id = metadata.get("trace_id") or current_trace_id()
+        metadata = result.metadata
+        outcome = outcome or query_outcome(result)
+        degraded = outcome.degraded
         if degraded:
             reason = (
                 "degradation ladder answered with "
@@ -240,22 +276,18 @@ class CaptureLog:
             "options": _json_safe(options),
             "replayable": replayable,
             "plan": {"method": result.method, "reason": reason},
-            "trace_id": trace_id,
+            "trace_id": outcome.trace_id,
             "wall_seconds": wall_seconds,
-            "tuples_accessed": (
-                int(accessed) if accessed is not None else None
-            ),
+            "tuples_accessed": outcome.tuples_accessed,
             "answer": list(result.tids()),
             "answer_digest": answer_digest(result),
             "degraded": degraded,
-            "fallback_method": (
-                str(metadata["fallback_method"]) if degraded else None
-            ),
+            "fallback_method": outcome.fallback_method,
             "attempts": metadata.get("attempts"),
             "faults_survived": metadata.get("faults_survived"),
             "faults_injected": metadata.get("faults_injected"),
             "gf_fallback": bool(metadata.get("gf_fallback", False)),
-            "resilience": resilience,
+            "resilience": resilience_config(executor),
         }
         if annotations:
             record["annotations"] = _json_safe(dict(annotations))
@@ -275,9 +307,6 @@ class CaptureLog:
 
 
 _capture: CaptureLog | None = None
-_claimed: ContextVar[bool] = ContextVar(
-    "repro_capture_claimed", default=False
-)
 
 
 def get_capture() -> CaptureLog | None:
@@ -291,27 +320,6 @@ def set_capture(log: CaptureLog | None) -> CaptureLog | None:
     previous = _capture
     _capture = log
     return previous
-
-
-@contextmanager
-def query_capture() -> Iterator[CaptureLog | None]:
-    """Claim the capture point for one query; outermost claim wins.
-
-    Yields the ambient :class:`CaptureLog` to exactly one layer of a
-    nested execution (``db.topk`` → executor → plan), and ``None`` to
-    every layer beneath it — so a query is recorded once, by the
-    layer closest to the caller.  Yields ``None`` everywhere when no
-    log is installed.
-    """
-    log = _capture
-    if log is None or _claimed.get():
-        yield None
-        return
-    token = _claimed.set(True)
-    try:
-        yield log
-    finally:
-        _claimed.reset(token)
 
 
 def read_jsonl(path: Path | str) -> tuple[list[dict], list[str]]:

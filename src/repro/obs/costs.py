@@ -18,23 +18,21 @@ through :func:`~repro.obs.flight.notify_anomaly` (anomaly
 enough samples, so a stale cost model dumps its own evidence.
 
 Accounting is ambient and off by default, mirroring the capture log:
-install a ledger with :func:`set_cost_ledger` and the query layers
-(``db.topk``, the resilient executor, the serving core) meter
-themselves through :func:`query_accounting`; the outermost layer
-claims the query, inner layers see ``None``.  With no ledger
-installed the whole machinery is one ``None`` check per query and no
-clock is read — the fault-free path stays bit-identical.
+install a ledger with :func:`set_cost_ledger` (or pass one to the
+serving core) and each executed query is billed once, when its query
+scope (:func:`repro.obs.scope.query_scope`) closes.  With no ledger
+installed no meter is started and no clock is read — the fault-free
+path stays bit-identical.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
+from repro.obs.capture import QueryOutcome, query_outcome
 from repro.obs.flight import notify_anomaly
 from repro.obs.metrics import get_registry
 
@@ -45,7 +43,6 @@ __all__ = [
     "CostEntry",
     "CostLedger",
     "get_cost_ledger",
-    "query_accounting",
     "set_cost_ledger",
 ]
 
@@ -141,23 +138,6 @@ class _Aggregate:
         }
 
 
-def _winning_rung(metadata: Mapping[str, object]) -> str:
-    """The ladder rung that produced the answer (``direct`` without
-    a resilient executor)."""
-    if not metadata.get("resilient"):
-        return "direct"
-    rung = "exact"
-    ladder = metadata.get("ladder") or ()
-    if isinstance(ladder, (list, tuple)):
-        for outcome in ladder:
-            if (
-                isinstance(outcome, Mapping)
-                and outcome.get("outcome") == "ok"
-            ):
-                rung = str(outcome.get("rung", rung))
-    return rung
-
-
 class CostLedger:
     """Predicted-vs-actual resource accounting for executed queries.
 
@@ -213,9 +193,9 @@ class CostLedger:
     # ------------------------------------------------------------------
     # Metering
     # ------------------------------------------------------------------
-    def meter(self, *, tenant: str | None = None) -> "CostMeter":
+    def meter(self) -> "CostMeter":
         """Start measuring one query (reads both clocks once)."""
-        return CostMeter(self, tenant=tenant)
+        return CostMeter(self)
 
     def record(self, entry: CostEntry) -> None:
         """Append one accounted query — the single ledger write."""
@@ -359,11 +339,8 @@ class CostLedger:
 class CostMeter:
     """One in-flight query's measurement, started at construction."""
 
-    def __init__(
-        self, ledger: CostLedger, *, tenant: str | None = None
-    ) -> None:
+    def __init__(self, ledger: CostLedger) -> None:
         self._ledger = ledger
-        self.tenant = tenant
         self._wall_start = ledger._wall_clock()
         self._cpu_start = ledger._cpu_clock()
 
@@ -375,20 +352,19 @@ class CostMeter:
         n: int,
         method: str,
         tenant: str | None = None,
-        trace_id: str | None = None,
+        outcome: QueryOutcome | None = None,
     ) -> CostEntry:
         """Stop the clocks and write the entry to the ledger.
 
-        The planner's prediction, the tuples actually accessed, the
-        degradation outcome, and the winning rung are all read off
-        ``result.metadata`` — the layers above only supply identity.
+        The prediction is read off ``result.metadata``, the actuals off
+        ``outcome`` (default :func:`~repro.obs.capture.query_outcome`)
+        — the layers above only supply identity.
         """
         ledger = self._ledger
         wall = ledger._wall_clock() - self._wall_start
         cpu = ledger._cpu_clock() - self._cpu_start
-        metadata = result.metadata
-        accessed = metadata.get("tuples_accessed")
-        estimate = metadata.get("cost_estimate")
+        outcome = outcome or query_outcome(result)
+        estimate = result.metadata.get("cost_estimate")
         predicted_seconds = None
         predicted_tuples = None
         if isinstance(estimate, Mapping):
@@ -399,44 +375,25 @@ class CostMeter:
             if isinstance(tuples, int):
                 predicted_tuples = tuples
         entry = CostEntry(
-            tenant=(
-                tenant
-                if tenant is not None
-                else (self.tenant or "default")
-            ),
+            tenant=tenant or "default",
             method=method,
             plan_method=result.method,
             k=k,
             n=n,
             wall_seconds=wall,
             cpu_seconds=cpu,
-            tuples_accessed=(
-                int(accessed)
-                if isinstance(accessed, int)
-                else None
-            ),
-            degraded=bool(metadata.get("degraded", False)),
-            rung=_winning_rung(metadata),
+            tuples_accessed=outcome.tuples_accessed,
+            degraded=outcome.degraded,
+            rung=outcome.rung,
             predicted_seconds=predicted_seconds,
             predicted_tuples=predicted_tuples,
-            trace_id=(
-                trace_id
-                if trace_id is not None
-                else (
-                    str(metadata["trace_id"])
-                    if metadata.get("trace_id")
-                    else None
-                )
-            ),
+            trace_id=outcome.trace_id,
         )
         ledger.record(entry)
         return entry
 
 
 _ledger: CostLedger | None = None
-_claimed: ContextVar[bool] = ContextVar(
-    "repro_costs_claimed", default=False
-)
 
 
 def get_cost_ledger() -> CostLedger | None:
@@ -452,29 +409,3 @@ def set_cost_ledger(
     previous = _ledger
     _ledger = ledger
     return previous
-
-
-@contextmanager
-def query_accounting(
-    ledger: CostLedger | None = None,
-    *,
-    tenant: str | None = None,
-) -> Iterator[CostMeter | None]:
-    """Claim the accounting point for one query; outermost wins.
-
-    Yields a started :class:`CostMeter` to exactly one layer of a
-    nested execution (serving core → ``db.topk`` → executor) and
-    ``None`` to every layer beneath it, so a query is accounted once,
-    by the layer that knows the most identity (the serving core knows
-    the tenant).  Yields ``None`` everywhere when no ledger is
-    installed — that path reads no clock.
-    """
-    active = ledger if ledger is not None else _ledger
-    if active is None or _claimed.get():
-        yield None
-        return
-    token = _claimed.set(True)
-    try:
-        yield active.meter(tenant=tenant)
-    finally:
-        _claimed.reset(token)

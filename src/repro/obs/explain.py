@@ -445,9 +445,11 @@ def explain(
         if isinstance(relation, AttributeLevelRelation)
         else "tuple"
     )
+    from repro.obs.capture import query_outcome, resilience_config
+
     metadata = dict(result.metadata) if result is not None else {}
-    accessed = metadata.get("tuples_accessed")
-    accessed = int(accessed) if accessed is not None else None
+    outcome = None if result is None else query_outcome(result)
+    accessed = outcome and outcome.tuples_accessed
     root_record = next(
         (
             record
@@ -467,10 +469,8 @@ def explain(
         "fraction_accessed": (
             accessed / n if accessed is not None and n else None
         ),
-        "degraded": bool(metadata.get("degraded", False)),
-        "fallback_method": metadata.get("fallback_method")
-        if metadata.get("degraded")
-        else None,
+        "degraded": bool(outcome and outcome.degraded),
+        "fallback_method": outcome and outcome.fallback_method,
         "ladder": _json_safe(metadata.get("ladder", [])),
         "attempts": metadata.get("attempts"),
         "faults_survived": metadata.get("faults_survived"),
@@ -491,8 +491,6 @@ def explain(
         if trajectory is not None
         else None
     )
-    from repro.obs.capture import resilience_config
-
     resilience = resilience_config(executor)
     if resilience is not None:
         # Post-run breaker states: a rung that tripped during this

@@ -7,7 +7,7 @@ share one kernel execution bit-for-bit.  The first arrival becomes the
 **leader** and runs the query; arrivals while it is in flight become
 **followers** and await the leader's outcome future.
 
-Outcomes are stored as ``("ok", result)`` / ``("error", error)``
+Outcomes are stored as ``("ok", answer)`` / ``("error", error)``
 tuples rather than via ``Future.set_exception`` — a future holding an
 exception that no follower ever awaits would trigger Python's
 "exception was never retrieved" warning; a tuple is inert.

@@ -41,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.engine.query import ResilientExecutor, TopKPlanner
@@ -52,11 +52,13 @@ from repro.exceptions import (
     ReproError,
     SchemaError,
 )
-from repro.obs import answer_digest, count, get_capture, get_registry
+from repro.obs import answer_digest, count, get_registry
 from repro.obs import trace as obs_trace
-from repro.obs.costs import CostLedger, query_accounting
+from repro.obs.capture import query_outcome
+from repro.obs.costs import CostLedger
 from repro.obs.flight import notify_anomaly
 from repro.obs.logging import bind_tenant, get_logger
+from repro.obs.scope import QueryRecord, query_scope
 from repro.robust import BreakerBoard, Deadline, RetryPolicy
 from repro.serve.admission import AdmissionController
 from repro.serve.coalesce import RequestCoalescer, coalesce_key
@@ -396,10 +398,10 @@ class ServingCore:
             EngineError("serve leader aborted before resolving"),
         )
         try:
-            result = await loop.run_in_executor(
+            answered = await loop.run_in_executor(
                 self._pool, self._run_query, request, deadline
             )
-            outcome = ("ok", result)
+            outcome = ("ok", answered)
         except (ReproError, OSError) as error:
             outcome = ("error", error)
         except asyncio.CancelledError:
@@ -442,12 +444,13 @@ class ServingCore:
 
     def _run_query(
         self, request: ServeRequest, deadline: Deadline
-    ) -> "TopKResult":
+    ) -> "tuple[TopKResult, QueryRecord | None]":
         """The worker-thread body: re-check the deadline, then rank.
 
         Runs on the pool, so queue time has already been spent when it
         starts; the admission deadline is re-checked here and whatever
-        remains becomes the executor's ladder budget.
+        remains becomes the executor's ladder budget.  Returns the
+        query scope's record too, for the coalesced followers.
         """
         deadline.check("serve.dispatch")
         remaining = deadline.remaining()
@@ -463,13 +466,15 @@ class ServingCore:
             seed=self.settings.seed,
             planner=self.planner,
         )
-        # Claim accounting here, on the worker thread, with the one
-        # piece of identity only the serving layer knows: the tenant.
-        # ``db.topk`` runs in the same thread and sees the claim, so
-        # the query is metered exactly once.
-        with query_accounting(
-            self.ledger, tenant=request.tenant
-        ) as meter:
+        with query_scope(
+            None,
+            request.k,
+            request.method,
+            request.options,
+            relation_name=request.relation,
+            tenant=request.tenant,
+            ledger=self.ledger,
+        ) as record:
             result = self.database.topk(
                 request.relation,
                 request.k,
@@ -477,14 +482,7 @@ class ServingCore:
                 executor=executor,
                 **dict(request.options),
             )
-            if meter is not None:
-                meter.finish(
-                    result,
-                    k=request.k,
-                    n=self.database.relation(request.relation).size,
-                    method=request.method,
-                )
-        return result
+        return result, record
 
     # ------------------------------------------------------------------
     # Outcome → response
@@ -520,18 +518,15 @@ class ServingCore:
                     else None
                 ),
             )
+        if kind == "ok":
+            result, record = payload  # type: ignore[misc]
+            derived = (record and record.outcome) or query_outcome(result)
         if self.slo is not None:
-            degraded_flag = False
-            if kind == "ok":
-                result_payload: "TopKResult" = payload  # type: ignore[assignment]
-                degraded_flag = bool(
-                    result_payload.metadata.get("degraded", False)
-                )
             self.slo.observe(
                 request.tenant,
                 ok=kind == "ok",
                 latency_seconds=wall,
-                degraded=degraded_flag,
+                degraded=kind == "ok" and derived.degraded,
             )
         base = dict(
             tenant=request.tenant,
@@ -542,19 +537,14 @@ class ServingCore:
             wall_seconds=wall,
         )
         if kind == "ok":
-            result: "TopKResult" = payload  # type: ignore[assignment]
-            if coalesced:
-                self._record_coalesced(request, result, trace_id)
-            metadata = result.metadata
-            degraded = bool(metadata.get("degraded", False))
+            if coalesced and record is not None:
+                self._record_coalesced(request, result, record, trace_id)
             return ServeResponse(
                 status="ok",
                 answer=result.tids(),
                 answer_digest=answer_digest(result),
-                degraded=degraded,
-                fallback_method=(
-                    str(metadata["fallback_method"]) if degraded else None
-                ),
+                degraded=derived.degraded,
+                fallback_method=derived.fallback_method,
                 coalesced=coalesced,
                 result=result,
                 **base,
@@ -589,30 +579,26 @@ class ServingCore:
         self,
         request: ServeRequest,
         result: "TopKResult",
+        leader: QueryRecord,
         trace_id: str | None,
     ) -> None:
-        """Capture a follower's answer with its sharing annotation.
+        """Capture a follower's answer from its leader's record.
 
-        The leader's execution is captured by ``db.topk`` as usual;
-        followers never touched the engine, so they record themselves
-        here — same answer digest by construction, annotated with the
-        leader's trace id so a session report can group the share.
+        Followers bill nothing.  The line names the version the leader
+        ranked, and its annotations carry the follower's tenant and
+        the leader's trace id, so a session report can group the share.
         """
-        capture = get_capture()
-        if capture is None:
+        if leader.capture is None or leader.relation is None:
             return
-        try:
-            relation = self.database.relation(request.relation)
-        except ReproError:  # pragma: no cover - relation raced away
-            return
-        capture.record_query(
-            relation,
+        outcome = leader.outcome or query_outcome(result)
+        leader.capture.record_query(
+            leader.relation,
             result,
-            k=request.k,
-            method=request.method,
-            options=dict(request.options),
-            relation_name=request.relation,
-            trace_id=trace_id,
+            k=leader.k,
+            method=leader.method,
+            options=leader.options,
+            relation_name=leader.relation_name,
+            outcome=replace(outcome, trace_id=trace_id),
             annotations={
                 "coalesced": True,
                 "tenant": request.tenant,

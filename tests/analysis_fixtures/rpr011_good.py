@@ -1,15 +1,14 @@
 # repro: module repro.obs.costs
 """RPR011 fixture: the chokepoint itself may read the CPU clock,
-and everyone else meters through it."""
+and queries are billed through the query scope."""
 
 import time
 
-from repro.obs.costs import query_accounting
+from repro.obs.scope import query_scope
 
 cpu = time.process_time()
 
 
-def bill(result) -> None:
-    with query_accounting() as meter:
-        if meter is not None:
-            meter.finish(result, k=1, n=1, method="expected_rank")
+def bill(database) -> None:
+    with query_scope(None, 1, "expected_rank", {}):
+        database.topk("r", 1)

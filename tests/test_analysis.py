@@ -98,7 +98,7 @@ class TestFixturePairs:
         assert "None" in by_code["RPR008"]
         assert "run_in_executor" in by_code["RPR009"]
         assert "repro.obs.logging" in by_code["RPR010"]
-        assert "query_accounting" in by_code["RPR011"]
+        assert "query_scope" in by_code["RPR011"]
         assert "alias" in by_code["RPR012"]
         assert "run_in_executor" in by_code["RPR013"]
         assert "await" in by_code["RPR014"]

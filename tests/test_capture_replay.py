@@ -15,7 +15,6 @@ from repro.obs.capture import (
     CAPTURE_SCHEMA_VERSION,
     CaptureLog,
     answer_digest,
-    query_capture,
     read_jsonl,
     relation_digest,
     set_capture,
@@ -25,6 +24,7 @@ from repro.obs.replay import (
     EXIT_REPLAY_REGRESSION,
     replay_capture,
 )
+from repro.obs.scope import query_scope
 from repro.robust import FaultInjector, RetryPolicy
 
 
@@ -135,28 +135,22 @@ class TestCaptureLog:
 
 
 class TestQueryCaptureClaim:
-    def test_outermost_layer_wins(self, capture_log):
-        log, _ = capture_log
-        with query_capture() as outer:
-            assert outer is log
-            with query_capture() as inner:
-                assert inner is None
-
-    def test_none_when_uninstalled(self):
-        with query_capture() as capture:
-            assert capture is None
-
-    def test_database_topk_records_once(self, fig2, capture_log):
+    def test_outermost_layer_wins(self, fig2, capture_log):
         log, path = capture_log
         db = ProbabilisticDatabase()
         db.create_relation("r", fig2)
-        db.topk("r", 2, executor=ResilientExecutor())
+        with query_scope(None, 2, "expected_rank", {}) as outer:
+            assert outer is not None and outer.capture is log
+            with query_scope(fig2, 2, "expected_rank", {}) as inner:
+                assert inner is outer
+            db.topk("r", 2)
         log.close()
-        records = _records(path)
-        assert len(records) == 1
-        assert records[0]["relation"] == "r"
-        # The executor path embedded its replayable configuration.
-        assert records[0]["resilience"]["max_retries"] == 3
+        # db.topk joined the outer scope: one line, written on exit.
+        assert [r["relation"] for r in _records(path)] == ["r"]
+
+    def test_none_when_uninstalled(self):
+        with query_scope(None, 2, "expected_rank", {}) as record:
+            assert record is None
 
 
 class TestReplay:

@@ -6,10 +6,10 @@ Three layers:
   ``(tenant, method)`` aggregation, drift tracking, and the
   ``cost_drift`` anomaly contract (fires once, re-arms after
   recovery);
-* :func:`query_accounting` claim semantics — off path yields ``None``
-  everywhere, the outermost layer wins, explicit ledger beats
-  ambient — plus the end-to-end wiring through ``db.topk`` and the
-  resilient executor;
+* :func:`~repro.obs.scope.query_scope` billing semantics — off path
+  yields ``None`` everywhere, the outermost scope owns the query,
+  explicit ledger beats ambient (the per-entry-point wiring lives in
+  ``tests/test_query_scope.py``);
 * the :class:`CostModel` — metric-name parsing, median fits from
   bench history and capture records, persistence, and the acceptance
   criterion: a fitted model changes a planner choice the static
@@ -43,10 +43,10 @@ from repro.obs.costs import (
     CostEntry,
     CostLedger,
     get_cost_ledger,
-    query_accounting,
     set_cost_ledger,
 )
 from repro.obs.flight import set_flight_recorder
+from repro.obs.scope import query_scope
 from repro.robust import RetryPolicy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -117,7 +117,7 @@ def positive_relation(n: int) -> AttributeLevelRelation:
 class TestCostLedger:
     def test_meter_arithmetic_is_exact_on_fake_clocks(self):
         ledger, wall, cpu = make_ledger()
-        meter = ledger.meter(tenant="acme")
+        meter = ledger.meter()
         wall.advance(2.0)
         cpu.advance(0.5)
         entry = meter.finish(
@@ -125,6 +125,7 @@ class TestCostLedger:
             k=2,
             n=3,
             method="expected_rank",
+            tenant="acme",
         )
         assert entry.wall_seconds == 2.0
         assert entry.cpu_seconds == 0.5
@@ -168,7 +169,7 @@ class TestCostLedger:
             ("acme", 3.0),
             ("globex", 5.0),
         ):
-            meter = ledger.meter(tenant=tenant)
+            meter = ledger.meter()
             wall.advance(seconds)
             cpu.advance(seconds / 2)
             meter.finish(
@@ -176,6 +177,7 @@ class TestCostLedger:
                 k=1,
                 n=4,
                 method="expected_rank",
+                tenant=tenant,
             )
         summary = ledger.summary()
         assert summary["queries"] == 3
@@ -237,7 +239,7 @@ class TestCostLedger:
 
     def test_cost_metrics_are_exported(self, registry):
         ledger, wall, cpu = make_ledger()
-        meter = ledger.meter(tenant="acme")
+        meter = ledger.meter()
         wall.advance(2.0)
         cpu.advance(1.0)
         meter.finish(
@@ -248,6 +250,7 @@ class TestCostLedger:
             k=1,
             n=4,
             method="expected_rank",
+            tenant="acme",
         )
         labels = {"tenant": "acme", "method": "expected_rank"}
         assert registry.counter("cost.queries", labels).value == 1
@@ -328,82 +331,57 @@ class TestDriftAnomaly:
 
 
 # ----------------------------------------------------------------------
-# Claim semantics and engine wiring
+# Query-scope billing semantics
 # ----------------------------------------------------------------------
+#: A query's identity with no relation version: the scope's owner
+#: here holds only a name, and ``db.topk`` adds the version it ranks.
+QUERY = (None, 2, "expected_rank", {})
+
+
 class TestQueryAccounting:
     def test_off_path_yields_none(self):
         assert get_cost_ledger() is None
-        with query_accounting() as meter:
-            assert meter is None
+        # Nothing installed: one shared no-op context, no record.
+        assert query_scope(*QUERY) is query_scope(*QUERY)
+        with query_scope(*QUERY) as record:
+            assert record is None
 
-    def test_outermost_layer_claims_inner_sees_none(self):
+    def test_outermost_scope_owns_inner_scopes_join(self, fig2):
+        database = ProbabilisticDatabase()
+        database.create_relation("fig2", fig2)
         ledger, _, _ = make_ledger()
-        with query_accounting(ledger) as outer:
+        with query_scope(*QUERY, ledger=ledger, tenant="acme") as outer:
             assert outer is not None
-            with query_accounting(ledger) as inner:
-                assert inner is None
-        # The claim is released: the next query meters again.
-        with query_accounting(ledger) as again:
-            assert again is not None
+            with query_scope(*QUERY, ledger=ledger) as inner:
+                assert inner is outer
+            database.topk("fig2", 2)
+        assert [entry.tenant for entry in ledger.entries] == ["acme"]
+        # The scope is released: the next query owns a new record.
+        with query_scope(*QUERY, ledger=ledger) as again:
+            assert again is not None and again is not outer
 
-    def test_explicit_ledger_beats_ambient(self):
+    def test_explicit_ledger_beats_ambient(self, fig2):
+        database = ProbabilisticDatabase()
+        database.create_relation("fig2", fig2)
         ambient, _, _ = make_ledger()
-        explicit, wall, _ = make_ledger()
+        explicit, _, _ = make_ledger()
         previous = set_cost_ledger(ambient)
         try:
-            with query_accounting(explicit) as meter:
-                assert meter is not None
-                wall.advance(1.0)
-                meter.finish(
-                    make_result(), k=1, n=1, method="expected_rank"
-                )
+            with query_scope(*QUERY, ledger=explicit):
+                database.topk("fig2", 2)
         finally:
             set_cost_ledger(previous)
         assert len(explicit.entries) == 1
         assert ambient.entries == ()
-
-    def test_db_topk_accounts_once_via_ambient_ledger(
-        self, fig2, registry
-    ):
-        database = ProbabilisticDatabase()
-        database.create_relation("fig2", fig2)
-        ledger = CostLedger()
-        previous = set_cost_ledger(ledger)
-        try:
-            database.topk("fig2", 2)
-        finally:
-            set_cost_ledger(previous)
-        assert len(ledger.entries) == 1
-        entry = ledger.entries[0]
-        assert entry.method == "expected_rank"
-        assert entry.n == 3
-        assert entry.k == 2
-        assert entry.wall_seconds >= 0.0
-        assert entry.trace_id  # span id flows into the entry
-
-    def test_resilient_executor_accounts_with_ladder_rung(self, fig2):
-        executor = ResilientExecutor(
-            retry=RetryPolicy(max_retries=0, base_delay=0.0)
-        )
-        ledger = CostLedger()
-        previous = set_cost_ledger(ledger)
-        try:
-            executor.execute(fig2, 2)
-        finally:
-            set_cost_ledger(previous)
-        assert len(ledger.entries) == 1
-        entry = ledger.entries[0]
-        assert entry.rung == "exact"
-        assert entry.plan_method == "expected_rank"
 
     def test_accounting_off_leaves_results_identical(self, fig2):
         bare = TopKPlanner().execute(fig2, 2)
         ledger = CostLedger()
         previous = set_cost_ledger(ledger)
         try:
-            with query_accounting() as meter:
+            with query_scope(*QUERY) as record:
                 accounted = TopKPlanner().execute(fig2, 2)
-                assert meter is not None
+                assert record is not None
         finally:
             set_cost_ledger(previous)
         assert accounted == bare  # metering never mutates the answer

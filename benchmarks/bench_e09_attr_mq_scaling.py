@@ -4,10 +4,10 @@ Section 7's stated complexity for attribute-level median/quantile
 ranks is cubic in N (for constant pdf size): each of the N tuples
 mixes s Poisson-binomial convolutions of quadratic cost.  The fitted
 growth exponent should sit clearly above the quasi-linear expected-
-rank algorithms and approach three.  The shape tests pin
-``engine="dp"`` — the default dispatch is now the quadratic
-generating-function sweep, whose speedup and parity the smoke test
-gates.
+rank algorithms and approach three.  The shape tests time the DP,
+``attribute_rank_distributions_dp`` — ``attribute_rank_distributions``
+runs the quadratic generating-function sweep, whose speedup and parity
+the smoke test gates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from repro.bench import (
     growth_exponent,
     measure_seconds,
 )
-from repro.core import attribute_rank_distributions
+from repro.core import (
+    attribute_rank_distributions,
+    attribute_rank_distributions_dp,
+)
 
 SIZES = (40, 80, 160, 320)
 
@@ -43,16 +46,16 @@ def test_smoke_gf_speedup_and_parity():
     """
     relation = attribute_workload("uu", SMOKE_DP_N, pdf_size=3)
     dp_seconds = measure_seconds(
-        lambda: attribute_rank_distributions(relation, engine="dp"),
+        lambda: attribute_rank_distributions_dp(relation),
         repeats=1,
     )
-    gf = attribute_rank_distributions(relation, engine="gf")
-    dp = attribute_rank_distributions(relation, engine="dp")
+    gf = attribute_rank_distributions(relation)
+    dp = attribute_rank_distributions_dp(relation)
     assert all(gf[tid].allclose(dp[tid], atol=1e-9) for tid in dp)
 
     large = attribute_workload("uu", SMOKE_GF_N, pdf_size=3)
     gf_seconds = measure_seconds(
-        lambda: attribute_rank_distributions(large, engine="gf"),
+        lambda: attribute_rank_distributions(large),
         repeats=2,
     )
     dp_estimate = dp_seconds * (SMOKE_GF_N / SMOKE_DP_N) ** 3
@@ -64,8 +67,8 @@ def test_a_mqrank_is_cubic_shaped(benchmark, record):
     for size in SIZES:
         relation = attribute_workload("uu", size, pdf_size=3)
         times[size] = measure_seconds(
-            lambda relation=relation: attribute_rank_distributions(
-                relation, engine="dp"
+            lambda relation=relation: attribute_rank_distributions_dp(
+                relation
             ),
             repeats=1,
         )
@@ -89,9 +92,8 @@ def test_a_mqrank_is_cubic_shaped(benchmark, record):
 
     relation = attribute_workload("uu", 160, pdf_size=3)
     benchmark.pedantic(
-        attribute_rank_distributions,
+        attribute_rank_distributions_dp,
         args=(relation,),
-        kwargs={"engine": "dp"},
         rounds=1,
         iterations=1,
     )

@@ -7,9 +7,9 @@ one Poisson-binomial over the M rules.  Two sweeps:
 * M sweep at fixed N (rule size up, M = N/size down) — expect the
   time to *fall* as rules get larger, the signature of the M^2 factor.
 
-The shape tests pin ``engine="dp"`` — the default dispatch is now the
-``O(N M)`` generating-function sweep, whose speedup and parity the
-smoke test gates.
+The shape tests time the DP, ``tuple_rank_distributions_dp`` —
+``tuple_rank_distributions`` runs the ``O(N M)`` generating-function
+sweep, whose speedup and parity the smoke test gates.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ from repro.bench import (
     measure_seconds,
     tuple_workload,
 )
-from repro.core import tuple_rank_distributions
+from repro.core import (
+    tuple_rank_distributions,
+    tuple_rank_distributions_dp,
+)
 
 SIZES = (100, 200, 400)
 RULE_SIZES = (2, 4, 8)
@@ -47,16 +50,16 @@ def test_smoke_gf_speedup_and_parity():
     """
     relation = tuple_workload("uu", SMOKE_DP_N)
     dp_seconds = measure_seconds(
-        lambda: tuple_rank_distributions(relation, engine="dp"),
+        lambda: tuple_rank_distributions_dp(relation),
         repeats=1,
     )
-    gf = tuple_rank_distributions(relation, engine="gf")
-    dp = tuple_rank_distributions(relation, engine="dp")
+    gf = tuple_rank_distributions(relation)
+    dp = tuple_rank_distributions_dp(relation)
     assert all(gf[tid].allclose(dp[tid], atol=1e-9) for tid in dp)
 
     large = tuple_workload("uu", SMOKE_GF_N)
     gf_seconds = measure_seconds(
-        lambda: tuple_rank_distributions(large, engine="gf"),
+        lambda: tuple_rank_distributions(large),
         repeats=2,
     )
     dp_estimate = dp_seconds * (SMOKE_GF_N / SMOKE_DP_N) ** 3
@@ -68,8 +71,8 @@ def test_time_vs_n(benchmark, record):
     for size in SIZES:
         relation = tuple_workload("uu", size)
         times[size] = measure_seconds(
-            lambda relation=relation: tuple_rank_distributions(
-                relation, engine="dp"
+            lambda relation=relation: tuple_rank_distributions_dp(
+                relation
             ),
             repeats=1,
         )
@@ -91,9 +94,8 @@ def test_time_vs_n(benchmark, record):
 
     relation = tuple_workload("uu", 200)
     benchmark.pedantic(
-        tuple_rank_distributions,
+        tuple_rank_distributions_dp,
         args=(relation,),
-        kwargs={"engine": "dp"},
         rounds=1,
         iterations=1,
     )
@@ -115,8 +117,8 @@ def test_time_vs_rule_count(record, benchmark):
             probability_high=1.0 / rule_size,
         )
         seconds = measure_seconds(
-            lambda relation=relation: tuple_rank_distributions(
-                relation, engine="dp"
+            lambda relation=relation: tuple_rank_distributions_dp(
+                relation
             ),
             repeats=1,
         )
@@ -135,9 +137,8 @@ def test_time_vs_rule_count(record, benchmark):
         probability_high=0.25,
     )
     benchmark.pedantic(
-        tuple_rank_distributions,
+        tuple_rank_distributions_dp,
         args=(relation,),
-        kwargs={"engine": "dp"},
         rounds=1,
         iterations=1,
     )

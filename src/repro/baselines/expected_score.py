@@ -11,7 +11,7 @@ the exclusion rules entirely, the paper's second objection.
 
 from __future__ import annotations
 
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError, UnsupportedModelError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.tuple_level import TupleLevelRelation
@@ -44,18 +44,12 @@ def expected_score(
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
     statistics = expected_scores(relation)
-    order = {tid: index for index, tid in enumerate(relation.tids())}
-    ranked = sorted(
-        statistics.items(), key=lambda item: (-item[1], order[item[0]])
-    )[: min(k, relation.size)]
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(ranked)
-    )
-    return TopKResult(
-        method="expected_score",
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata={"tuples_accessed": relation.size, "exact": True},
+    return top_k_result(
+        "expected_score",
+        k,
+        relation.tids(),
+        list(statistics.values()),
+        statistics,
+        {"tuples_accessed": relation.size, "exact": True},
+        largest=True,
     )

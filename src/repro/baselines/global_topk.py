@@ -12,7 +12,7 @@ ranking by probability alone, as the paper notes.
 from __future__ import annotations
 
 from repro.baselines.common import topk_probabilities
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.tuple_level import TupleLevelRelation
@@ -31,18 +31,12 @@ def global_topk(
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
     statistics = topk_probabilities(relation, k)
-    order = {tid: index for index, tid in enumerate(relation.tids())}
-    ranked = sorted(
-        statistics.items(), key=lambda item: (-item[1], order[item[0]])
-    )[: min(k, relation.size)]
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=probability)
-        for position, (tid, probability) in enumerate(ranked)
-    )
-    return TopKResult(
-        method="global_topk",
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata={"tuples_accessed": relation.size, "exact": True},
+    return top_k_result(
+        "global_topk",
+        k,
+        relation.tids(),
+        list(statistics.values()),
+        statistics,
+        {"tuples_accessed": relation.size, "exact": True},
+        largest=True,
     )

@@ -10,7 +10,7 @@ high-score likely one.  Only meaningful in the tuple-level model
 
 from __future__ import annotations
 
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError, UnsupportedModelError
 from repro.models.tuple_level import TupleLevelRelation
 
@@ -27,18 +27,12 @@ def probability_only(relation: TupleLevelRelation, k: int) -> TopKResult:
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
     statistics = {row.tid: row.probability for row in relation}
-    order = {tid: index for index, tid in enumerate(relation.tids())}
-    ranked = sorted(
-        statistics.items(), key=lambda item: (-item[1], order[item[0]])
-    )[: min(k, relation.size)]
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(ranked)
-    )
-    return TopKResult(
-        method="probability_only",
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata={"tuples_accessed": relation.size, "exact": True},
+    return top_k_result(
+        "probability_only",
+        k,
+        relation.tids(),
+        list(statistics.values()),
+        statistics,
+        {"tuples_accessed": relation.size, "exact": True},
+        largest=True,
     )

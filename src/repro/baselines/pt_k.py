@@ -16,43 +16,16 @@ tuple can reach the threshold.
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 from repro.baselines.common import topk_probabilities
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.tuple_level import TupleLevelRelation
 from repro.stats.bounds import hoeffding_lower_tail
 
 __all__ = ["pt_k", "pt_k_scan"]
-
-
-def _threshold_result(
-    relation: AttributeLevelRelation | TupleLevelRelation,
-    statistics: dict[str, float],
-    k: int,
-    threshold: float,
-    method: str,
-    metadata: dict[str, object],
-) -> TopKResult:
-    order = {tid: index for index, tid in enumerate(relation.tids())}
-    passing = [
-        (tid, probability)
-        for tid, probability in statistics.items()
-        if probability >= threshold
-    ]
-    passing.sort(key=lambda item: (-item[1], order[item[0]]))
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=probability)
-        for position, (tid, probability) in enumerate(passing)
-    )
-    return TopKResult(
-        method=method,
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata=metadata,
-    )
 
 
 def pt_k(
@@ -74,18 +47,25 @@ def pt_k(
             f"threshold must be in (0, 1], got {threshold!r}"
         )
     statistics = topk_probabilities(relation, k)
-    return _threshold_result(
-        relation,
-        statistics,
-        k,
-        threshold,
+    passing = [
+        tid
+        for tid, probability in statistics.items()
+        if probability >= threshold
+    ]
+    answer = top_k_result(
         "pt_k",
+        len(passing),
+        passing,
+        [statistics[tid] for tid in passing],
+        statistics,
         {
             "tuples_accessed": relation.size,
             "exact": True,
             "threshold": threshold,
         },
+        largest=True,
     )
+    return replace(answer, k=k)
 
 
 def pt_k_scan(
@@ -137,17 +117,11 @@ def pt_k_scan(
     # Top-k probabilities of seen tuples only depend on higher-score
     # (hence seen) tuples, so evaluating them on the curtailed relation
     # is exact and touches no unseen tuple.
-    from repro.core.tuple_mq_rank import _curtail
-
-    curtailed = _curtail(relation, ordered[:accessed])
-    curtailed_stats = topk_probabilities(curtailed, k)
-    return _threshold_result(
-        relation,
-        curtailed_stats,
-        k,
-        threshold,
-        "pt_k_scan",
-        {
+    curtailed = relation.curtailed(row.tid for row in ordered[:accessed])
+    return replace(
+        pt_k(curtailed, k, threshold=threshold),
+        method="pt_k_scan",
+        metadata={
             "tuples_accessed": accessed,
             "halted_early": halted_early,
             "exact": True,

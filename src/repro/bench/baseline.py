@@ -149,9 +149,7 @@ SUITE: tuple[Case, ...] = (
             lambda scale: attribute_workload(
                 "uu", _scaled(1000, scale), pdf_size=3
             ),
-            lambda relation: attribute_rank_distributions(
-                relation, engine="gf"
-            ),
+            lambda relation: attribute_rank_distributions(relation),
         ),
     ),
     Case(
@@ -159,9 +157,7 @@ SUITE: tuple[Case, ...] = (
         "seconds",
         _timing(
             lambda scale: tuple_workload("uu", _scaled(1000, scale)),
-            lambda relation: tuple_rank_distributions(
-                relation, engine="gf"
-            ),
+            lambda relation: tuple_rank_distributions(relation),
         ),
     ),
     Case(

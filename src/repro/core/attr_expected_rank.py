@@ -23,10 +23,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from typing import Sequence
+from dataclasses import replace
 
 from repro.core.beats import beat_probability
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation, AttributeTuple
 from repro.models.possible_worlds import TieRule, _check_ties
@@ -257,40 +257,6 @@ def attribute_expected_ranks_quadratic(
     return ranks
 
 
-def _select_top_k(
-    relation_order: Sequence[str],
-    ranks: dict[str, float],
-    k: int,
-) -> list[tuple[str, float]]:
-    """The k tuples with smallest rank statistic, ties by input order."""
-    order = {tid: index for index, tid in enumerate(relation_order)}
-    return heapq.nsmallest(
-        k,
-        ranks.items(),
-        key=lambda item: (item[1], order[item[0]]),
-    )
-
-
-def _as_result(
-    method: str,
-    k: int,
-    winners: Sequence[tuple[str, float]],
-    statistics: dict[str, float],
-    metadata: dict[str, object],
-) -> TopKResult:
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
-    )
-    return TopKResult(
-        method=method,
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata=metadata,
-    )
-
-
 def a_erank(
     relation: AttributeLevelRelation,
     k: int,
@@ -305,11 +271,11 @@ def a_erank(
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
     ranks = attribute_expected_ranks(relation, ties=ties)
-    winners = _select_top_k(relation.tids(), ranks, k)
-    return _as_result(
+    return top_k_result(
         "expected_rank",
         k,
-        winners,
+        relation.tids(),
+        list(ranks.values()),
         ranks,
         {"tuples_accessed": relation.size, "exact": True, "ties": ties},
     )
@@ -366,12 +332,11 @@ def a_erank_prune(
         raise RankingError(f"k must be >= 0, got {k!r}")
     _check_ties(ties)
     if k == 0:
-        return _as_result(
-            "expected_rank_prune",
-            0,
-            [],
-            {},
-            {
+        return TopKResult(
+            method="expected_rank_prune",
+            k=0,
+            items=(),
+            metadata={
                 "tuples_accessed": 0,
                 "halted_early": True,
                 "exact": False,
@@ -445,14 +410,7 @@ def a_erank_prune(
     count("a_erank_prune.tuples_accessed", len(seen))
     if halted_early:
         count("a_erank_prune.halted_early")
-    curtailed = AttributeLevelRelation(
-        sorted(
-            (entry.row for entry in seen),
-            key=lambda candidate: relation.position_of(candidate.tid),
-        )
-    )
-    ranks = attribute_expected_ranks(curtailed, ties=ties)
-    winners = _select_top_k(curtailed.tids(), ranks, k)
+    curtailed = relation.curtailed(entry.row.tid for entry in seen)
     metadata: dict[str, object] = {
         "tuples_accessed": len(seen),
         "halted_early": halted_early,
@@ -461,12 +419,10 @@ def a_erank_prune(
     }
     if trajectory is not None:
         metadata["prune_trajectory"] = tuple(trajectory)
-    return _as_result(
-        "expected_rank_prune",
-        k,
-        winners,
-        ranks,
-        metadata,
+    return replace(
+        a_erank(curtailed, k, ties=ties),
+        method="expected_rank_prune",
+        metadata=metadata,
     )
 
 
@@ -500,12 +456,11 @@ def a_erank_prune_lazy(
             f"check_every must be >= 1, got {check_every!r}"
         )
     if k == 0:
-        return _as_result(
-            "expected_rank_prune_lazy",
-            0,
-            [],
-            {},
-            {
+        return TopKResult(
+            method="expected_rank_prune_lazy",
+            k=0,
+            items=(),
+            metadata={
                 "tuples_accessed": 0,
                 "halted_early": True,
                 "exact": False,
@@ -557,20 +512,11 @@ def a_erank_prune_lazy(
     count("a_erank_prune_lazy.tuples_accessed", len(seen))
     if halted_early:
         count("a_erank_prune_lazy.halted_early")
-    curtailed = AttributeLevelRelation(
-        sorted(
-            seen,
-            key=lambda candidate: relation.position_of(candidate.tid),
-        )
-    )
-    ranks = attribute_expected_ranks(curtailed, ties="shared")
-    winners = _select_top_k(curtailed.tids(), ranks, k)
-    return _as_result(
-        "expected_rank_prune_lazy",
-        k,
-        winners,
-        ranks,
-        {
+    curtailed = relation.curtailed(row.tid for row in seen)
+    return replace(
+        a_erank(curtailed, k, ties="shared"),
+        method="expected_rank_prune_lazy",
+        metadata={
             "tuples_accessed": len(seen),
             "halted_early": halted_early,
             "exact": len(seen) == total,

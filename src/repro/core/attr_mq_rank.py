@@ -38,24 +38,24 @@ the same surrogate contract as A-ERank-Prune.
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Sequence
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.beats import value_beat_probability
 from repro.core.columnar import (
+    _gf_distress,
     attribute_rank_pmf_matrix,
     mass_violation,
     rank_quantiles,
 )
-from repro.core.rank_distribution import RankDistribution
-from repro.core.result import RankedItem, TopKResult
+from repro.core.rank_distribution import RankDistribution, _method_name
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
-from repro.obs import count, emit_event, profiled
+from repro.obs import count, profiled
 from repro.stats.poisson_binomial import (
     binomial_pmf,
     mixture_pmf,
@@ -116,61 +116,30 @@ def attribute_rank_distributions_dp(
     }
 
 
-def _gf_distress(kernel: str, deviation: float) -> None:
-    """Account for one GF → DP numerical-distress fallback."""
-    count("kernel.gf_fallback")
-    emit_event(
-        "kernel.gf_fallback", kernel=kernel, deviation=deviation
-    )
-
-
 def attribute_rank_distributions(
     relation: AttributeLevelRelation,
     *,
     ties: TieRule = "by_index",
-    engine: str = "gf",
 ) -> dict[str, RankDistribution]:
     """Exact rank distributions of every tuple.
 
-    Dispatches to the columnar generating-function sweep
-    (:mod:`repro.core.columnar`, ``O(N * S)``) by default;
-    ``engine="dp"`` selects the paper's cubic dynamic program.  Both
-    engines produce the same distributions to within ``1e-9``.  A
+    Runs the columnar generating-function sweep
+    (:mod:`repro.core.columnar`, ``O(N * S)``); it agrees with the
+    paper's cubic dynamic program,
+    :func:`attribute_rank_distributions_dp`, to within ``1e-9``.  A
     sweep result that loses probability mass beyond the
     :data:`~repro.core.columnar.MASS_TOLERANCE` guard is discarded and
     recomputed with the DP (``kernel.gf_fallback`` counts how often).
     """
-    if engine == "gf":
-        matrix = attribute_rank_pmf_matrix(relation, ties=ties)
-        deviation = mass_violation(matrix)
-        if deviation is not None:
-            _gf_distress("attribute_rank_distributions", deviation)
-            return attribute_rank_distributions_dp(relation, ties=ties)
-        return {
-            tid: RankDistribution(matrix[position])
-            for position, tid in enumerate(relation.tids())
-        }
-    if engine == "dp":
+    matrix = attribute_rank_pmf_matrix(relation, ties=ties)
+    deviation = mass_violation(matrix)
+    if deviation is not None:
+        _gf_distress("attribute_rank_distributions", deviation)
         return attribute_rank_distributions_dp(relation, ties=ties)
-    raise RankingError(
-        f"unknown engine {engine!r}; expected 'gf' or 'dp'"
-    )
-
-
-def _select_top_k(
-    relation_order: Sequence[str],
-    statistics: dict[str, float],
-    k: int,
-) -> list[tuple[str, float]]:
-    order = {tid: index for index, tid in enumerate(relation_order)}
-    return heapq.nsmallest(
-        k, statistics.items(), key=lambda item: (item[1], order[item[0]])
-    )
-
-
-def _method_name(phi: float) -> str:
-    # phi=0.5 is the caller's exact literal.  # repro: noqa RPR002
-    return "median_rank" if phi == 0.5 else f"quantile_rank[{phi:g}]"
+    return {
+        tid: RankDistribution(matrix[position])
+        for position, tid in enumerate(relation.tids())
+    }
 
 
 @profiled("a_mqrank")
@@ -208,17 +177,13 @@ def a_mqrank(
             tid: float(dist.quantile(phi))
             for tid, dist in distributions.items()
         }
-    winners = _select_top_k(relation.tids(), statistics, k)
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
-    )
-    return TopKResult(
-        method=_method_name(phi),
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata={
+    return top_k_result(
+        _method_name(phi),
+        k,
+        relation.tids(),
+        list(statistics.values()),
+        statistics,
+        {
             "tuples_accessed": relation.size,
             "exact": True,
             "phi": phi,
@@ -453,18 +418,10 @@ def a_mqrank_prune(
     count("a_mqrank_prune.tuples_accessed", len(seen))
     if halted_early:
         count("a_mqrank_prune.halted_early")
-    curtailed = AttributeLevelRelation(
-        sorted(
-            (entry.row for entry in seen),
-            key=lambda candidate: relation.position_of(candidate.tid),
-        )
-    )
-    exact_on_seen = a_mqrank(curtailed, k, phi=phi, ties=ties)
-    return TopKResult(
+    curtailed = relation.curtailed(entry.row.tid for entry in seen)
+    return replace(
+        a_mqrank(curtailed, k, phi=phi, ties=ties),
         method=f"{_method_name(phi)}_prune",
-        k=k,
-        items=exact_on_seen.items,
-        statistics=exact_on_seen.statistics,
         metadata={
             "tuples_accessed": len(seen),
             "halted_early": halted_early,

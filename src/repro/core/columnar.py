@@ -27,10 +27,10 @@ the incremental sweep numerically safe:
   product polynomial is rebuilt from the current probability vector,
   resetting any accumulated drift without changing the asymptotics.
 
-The public functions mirror the legacy DP entry points and agree with
-them (and with the possible-worlds oracle) to within ``1e-9`` total
-variation — the parity tests in ``tests/test_columnar_gf.py`` and the
-speedup gates in ``benchmarks/bench_e09*/e10*`` pin both claims.
+The pmf matrices agree with the legacy DP entry points (and with the
+possible-worlds oracle) to within ``1e-9`` total variation — the
+parity tests in ``tests/test_columnar_gf.py`` and the speedup gates in
+``benchmarks/bench_e09*/e10*`` pin both claims.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ from typing import Union
 
 import numpy as np
 
-from repro.core.rank_distribution import RankDistribution
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.tuple_level import TupleLevelRelation
-from repro.obs import profiled
+from repro.obs import count, emit_event, profiled
 
 try:  # SciPy is present in the dev image but is not a declared dep.
     from scipy.signal import lfilter as _lfilter
@@ -65,10 +64,8 @@ __all__ = [
     "product_polynomial",
     "rank_quantiles",
     "attribute_rank_pmf_matrix",
-    "attribute_rank_distributions_gf",
     "tuple_present_rank_pmf_matrix",
     "tuple_rank_pmf_matrix",
-    "tuple_rank_distributions_gf",
     "rank_position_probability_matrix",
 ]
 
@@ -421,6 +418,14 @@ def mass_violation(
     return deviation if deviation > tol else None
 
 
+def _gf_distress(kernel: str, deviation: float) -> None:
+    """Account for one GF → DP numerical-distress fallback."""
+    count("kernel.gf_fallback")
+    emit_event(
+        "kernel.gf_fallback", kernel=kernel, deviation=deviation
+    )
+
+
 def rank_quantiles(matrix: np.ndarray, phi: float) -> np.ndarray:
     """Per-row ``phi``-quantile ranks of a pmf matrix, vectorized.
 
@@ -541,19 +546,6 @@ def attribute_rank_pmf_matrix(
 
     np.clip(matrix, 0.0, None, out=matrix)
     return matrix
-
-
-def attribute_rank_distributions_gf(
-    relation: AttributeLevelRelation,
-    *,
-    ties: TieRule = "by_index",
-) -> dict[str, RankDistribution]:
-    """Exact rank distributions via the generating-function sweep."""
-    matrix = attribute_rank_pmf_matrix(relation, ties=ties)
-    return {
-        tid: RankDistribution(matrix[position])
-        for position, tid in enumerate(relation.tids())
-    }
 
 
 # ----------------------------------------------------------------------
@@ -677,19 +669,6 @@ def tuple_rank_pmf_matrix(
             result[position] += (1.0 - probability) * absent
     np.clip(result, 0.0, None, out=result)
     return result
-
-
-def tuple_rank_distributions_gf(
-    relation: TupleLevelRelation,
-    *,
-    ties: TieRule = "by_index",
-) -> dict[str, RankDistribution]:
-    """Exact rank distributions via the generating-function sweep."""
-    matrix = tuple_rank_pmf_matrix(relation, ties=ties)
-    return {
-        tid: RankDistribution(matrix[position])
-        for position, tid in enumerate(relation.tids())
-    }
 
 
 # ----------------------------------------------------------------------

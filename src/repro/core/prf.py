@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.columnar import rank_position_probability_matrix
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.tuple_level import TupleLevelRelation
@@ -146,18 +146,12 @@ def prf_rank(
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
     statistics = prf_scores(relation, weights)
-    order = {tid: index for index, tid in enumerate(relation.tids())}
-    ranked = sorted(
-        statistics.items(), key=lambda item: (-item[1], order[item[0]])
-    )[: min(k, relation.size)]
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(ranked)
-    )
-    return TopKResult(
-        method=method_name,
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata={"tuples_accessed": relation.size, "exact": True},
+    return top_k_result(
+        method_name,
+        k,
+        relation.tids(),
+        list(statistics.values()),
+        statistics,
+        {"tuples_accessed": relation.size, "exact": True},
+        largest=True,
     )

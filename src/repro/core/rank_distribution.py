@@ -227,3 +227,9 @@ class RankDistribution:
             f"({rank}, {mass:g})" for rank, mass in self.items()
         )
         return f"RankDistribution({{{pairs}}})"
+
+
+def _method_name(phi: float) -> str:
+    """The registered name of the ``phi``-quantile rank semantics."""
+    # phi=0.5 is the caller's exact literal.  # repro: noqa RPR002
+    return "median_rank" if phi == 0.5 else f"quantile_rank[{phi:g}]"

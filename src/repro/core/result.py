@@ -10,11 +10,13 @@ tuples a pruning algorithm accessed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.exceptions import RankingError
 
-__all__ = ["RankedItem", "TopKResult"]
+__all__ = ["RankedItem", "TopKResult", "top_k_result"]
 
 
 @dataclass(frozen=True)
@@ -68,20 +70,15 @@ class TopKResult:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        # Duplicate tids are allowed: unique ranking is a property
+        # under study (U-kRanks may repeat a tuple), which the
+        # property checkers flag.
         for expected_position, item in enumerate(self.items):
             if item.position != expected_position:
                 raise RankingError(
                     f"item {item.tid!r} has position {item.position}, "
                     f"expected {expected_position}"
                 )
-            if item.tid in seen:
-                # Unique ranking is a *property under study*, not an
-                # invariant: U-kRanks legitimately reports the same
-                # tuple at several positions.  Duplicates are allowed
-                # here and flagged by the property checkers instead.
-                pass
-            seen.add(item.tid)
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -158,3 +155,46 @@ class TopKResult:
                 entries.append(f"{item.tid}({item.statistic:.4g})")
         inner = ", ".join(entries)
         return f"{self.method} top-{self.k}: [{inner}]"
+
+
+def top_k_result(
+    method: str,
+    k: int,
+    tids: Sequence[str],
+    values: Sequence[float] | np.ndarray,
+    statistics: Mapping[str, float],
+    metadata: Mapping[str, object],
+    *,
+    largest: bool = False,
+) -> TopKResult:
+    """The answer of a method that ranks by one per-tuple statistic.
+
+    ``tids`` lists the candidates in insertion order and ``values``
+    their statistic, aligned.  The answer holds the ``min(k, N)``
+    candidates with the smallest values (the largest when ``largest``),
+    best first, ties on the value broken by insertion order.  Every
+    rank-by-statistic method selects by this one rule.
+    """
+    values = np.asarray(values, dtype=float)
+    keys = -values if largest else values
+    if k <= 0:
+        chosen = np.zeros(0, dtype=np.intp)
+    elif k < keys.size:
+        kth = np.partition(keys, k - 1)[k - 1]
+        chosen = np.flatnonzero(keys <= kth)
+    else:
+        chosen = np.arange(keys.size)
+    winners = chosen[np.lexsort((chosen, keys[chosen]))][:k]
+    items = tuple(
+        RankedItem(tid=tids[index], position=position, statistic=value)
+        for position, (index, value) in enumerate(
+            zip(winners.tolist(), values[winners].tolist())
+        )
+    )
+    return TopKResult(
+        method=method,
+        k=k,
+        items=items,
+        statistics=statistics,
+        metadata=metadata,
+    )

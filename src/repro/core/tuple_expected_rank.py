@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.columnar import TupleColumns
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.tuple_level import TupleLevelRelation
@@ -166,40 +166,6 @@ def tuple_expected_ranks(
 tuple_expected_ranks_vectorized = tuple_expected_ranks
 
 
-def _top_k(ranks: np.ndarray, positions: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the ``k`` smallest ranks, by (rank, position)."""
-    if k <= 0:
-        return np.zeros(0, dtype=np.int64)
-    if k < ranks.size:
-        kth = np.partition(ranks, k - 1)[k - 1]
-        chosen = np.flatnonzero(ranks <= kth)
-    else:
-        chosen = np.arange(ranks.size)
-    chosen = chosen[np.lexsort((positions[chosen], ranks[chosen]))]
-    return chosen[:k]
-
-
-def _as_result(
-    method: str,
-    k: int,
-    tids: list[str],
-    values: list[float],
-    statistics: dict[str, float],
-    metadata: dict[str, object],
-) -> TopKResult:
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(zip(tids, values))
-    )
-    return TopKResult(
-        method=method,
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata=metadata,
-    )
-
-
 def t_erank(
     relation: TupleLevelRelation,
     k: int,
@@ -210,12 +176,11 @@ def t_erank(
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
     columns, ranks = _expected_rank_vector(relation, ties)
-    winners = _top_k(ranks, np.arange(columns.size), k)
-    return _as_result(
+    return top_k_result(
         "expected_rank",
         k,
-        [columns.tids[index] for index in winners.tolist()],
-        ranks[winners].tolist(),
+        columns.tids,
+        ranks,
         dict(zip(columns.tids, ranks.tolist())),
         {"tuples_accessed": columns.size, "exact": True, "ties": ties},
     )
@@ -342,10 +307,10 @@ def t_erank_prune(
     count("t_erank_prune.tuples_accessed", accessed)
     if halted_early:
         count("t_erank_prune.halted_early")
-    order = columns.order
+    order = columns.order[:accessed]
     seen = ranks[:accessed]
-    seen_tids = [columns.tids[index] for index in order[:accessed].tolist()]
-    winners = _top_k(seen, order[:accessed], k).tolist()
+    seen_tids = [columns.tids[index] for index in order.tolist()]
+    by_position = np.argsort(order)
     metadata: dict[str, object] = {
         "tuples_accessed": accessed,
         "halted_early": halted_early,
@@ -354,11 +319,11 @@ def t_erank_prune(
     }
     if get_registry().enabled:
         metadata["prune_trajectory"] = trajectory
-    return _as_result(
+    return top_k_result(
         "expected_rank_prune",
         k,
-        [seen_tids[index] for index in winners],
-        seen[winners].tolist(),
+        [seen_tids[index] for index in by_position.tolist()],
+        seen[by_position],
         dict(zip(seen_tids, seen.tolist())),
         metadata,
     )

@@ -27,23 +27,23 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Sequence
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.columnar import (
+    _gf_distress,
     mass_violation,
     rank_quantiles,
     tuple_rank_pmf_matrix,
 )
-from repro.core.rank_distribution import RankDistribution
-from repro.core.result import RankedItem, TopKResult
+from repro.core.rank_distribution import RankDistribution, _method_name
+from repro.core.result import TopKResult, top_k_result
 from repro.core.tuple_expected_rank import tuple_expected_ranks
 from repro.exceptions import RankingError
 from repro.models.possible_worlds import TieRule, _check_ties
-from repro.models.rules import ExclusionRule
 from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
-from repro.obs import count, emit_event, profiled
+from repro.obs import count, profiled
 from repro.stats.poisson_binomial import (
     mixture_pmf,
     poisson_binomial_pmf,
@@ -168,61 +168,30 @@ def tuple_rank_distributions_dp(
     }
 
 
-def _gf_distress(kernel: str, deviation: float) -> None:
-    """Account for one GF → DP numerical-distress fallback."""
-    count("kernel.gf_fallback")
-    emit_event(
-        "kernel.gf_fallback", kernel=kernel, deviation=deviation
-    )
-
-
 def tuple_rank_distributions(
     relation: TupleLevelRelation,
     *,
     ties: TieRule = "by_index",
-    engine: str = "gf",
 ) -> dict[str, RankDistribution]:
     """Exact rank distributions of every tuple.
 
-    Dispatches to the columnar generating-function sweep
-    (:mod:`repro.core.columnar`, ``O(N M)``) by default;
-    ``engine="dp"`` selects the paper's ``O(N M^2)`` dynamic program.
-    Both engines produce the same distributions to within ``1e-9``.  A
-    sweep result that loses probability mass beyond the
+    Runs the columnar generating-function sweep
+    (:mod:`repro.core.columnar`, ``O(N M)``); it agrees with the
+    paper's ``O(N M^2)`` dynamic program,
+    :func:`tuple_rank_distributions_dp`, to within ``1e-9``.  A sweep
+    result that loses probability mass beyond the
     :data:`~repro.core.columnar.MASS_TOLERANCE` guard is discarded and
     recomputed with the DP (``kernel.gf_fallback`` counts how often).
     """
-    if engine == "gf":
-        matrix = tuple_rank_pmf_matrix(relation, ties=ties)
-        deviation = mass_violation(matrix)
-        if deviation is not None:
-            _gf_distress("tuple_rank_distributions", deviation)
-            return tuple_rank_distributions_dp(relation, ties=ties)
-        return {
-            tid: RankDistribution(matrix[position])
-            for position, tid in enumerate(relation.tids())
-        }
-    if engine == "dp":
+    matrix = tuple_rank_pmf_matrix(relation, ties=ties)
+    deviation = mass_violation(matrix)
+    if deviation is not None:
+        _gf_distress("tuple_rank_distributions", deviation)
         return tuple_rank_distributions_dp(relation, ties=ties)
-    raise RankingError(
-        f"unknown engine {engine!r}; expected 'gf' or 'dp'"
-    )
-
-
-def _select_top_k(
-    relation_order: Sequence[str],
-    statistics: dict[str, float],
-    k: int,
-) -> list[tuple[str, float]]:
-    order = {tid: index for index, tid in enumerate(relation_order)}
-    return heapq.nsmallest(
-        k, statistics.items(), key=lambda item: (item[1], order[item[0]])
-    )
-
-
-def _method_name(phi: float) -> str:
-    # phi=0.5 is the caller's exact literal.  # repro: noqa RPR002
-    return "median_rank" if phi == 0.5 else f"quantile_rank[{phi:g}]"
+    return {
+        tid: RankDistribution(matrix[position])
+        for position, tid in enumerate(relation.tids())
+    }
 
 
 @profiled("t_mqrank")
@@ -256,17 +225,13 @@ def t_mqrank(
             tid: float(dist.quantile(phi))
             for tid, dist in distributions.items()
         }
-    winners = _select_top_k(relation.tids(), statistics, k)
-    items = tuple(
-        RankedItem(tid=tid, position=position, statistic=value)
-        for position, (tid, value) in enumerate(winners)
-    )
-    return TopKResult(
-        method=_method_name(phi),
-        k=k,
-        items=items,
-        statistics=statistics,
-        metadata={
+    return top_k_result(
+        _method_name(phi),
+        k,
+        relation.tids(),
+        list(statistics.values()),
+        statistics,
+        {
             "tuples_accessed": relation.size,
             "exact": True,
             "phi": phi,
@@ -367,7 +332,7 @@ def t_mqrank_prune(
         # Candidate seen tuples: the k with the smallest exact
         # expected ranks among the seen prefix (a cheap heuristic —
         # correctness rests on the bounds, not the choice).
-        curtailed = _curtail(relation, seen_rows)
+        curtailed = relation.curtailed(row.tid for row in seen_rows)
         candidate_ranks = tuple_expected_ranks(curtailed, ties=ties)
         candidates = heapq.nsmallest(
             k, candidate_ranks.items(), key=lambda item: item[1]
@@ -403,13 +368,10 @@ def t_mqrank_prune(
     count("t_mqrank_prune.tuples_accessed", len(seen_rows))
     if halted_early:
         count("t_mqrank_prune.halted_early")
-    curtailed = _curtail(relation, seen_rows)
-    exact_on_seen = t_mqrank(curtailed, k, phi=phi, ties=ties)
-    return TopKResult(
+    curtailed = relation.curtailed(row.tid for row in seen_rows)
+    return replace(
+        t_mqrank(curtailed, k, phi=phi, ties=ties),
         method=f"{_method_name(phi)}_prune",
-        k=k,
-        items=exact_on_seen.items,
-        statistics=exact_on_seen.statistics,
         metadata={
             "tuples_accessed": len(seen_rows),
             "halted_early": halted_early,
@@ -419,17 +381,3 @@ def t_mqrank_prune(
         },
     )
 
-
-def _curtail(
-    relation: TupleLevelRelation,
-    seen_rows: Sequence[TupleLevelTuple],
-) -> TupleLevelRelation:
-    """The curtailed relation: seen tuples, rules cut to seen members."""
-    seen_tids = {row.tid for row in seen_rows}
-    in_order = [row for row in relation if row.tid in seen_tids]
-    rules: list[ExclusionRule] = []
-    for rule in relation.rules:
-        members = [tid for tid in rule if tid in seen_tids]
-        if len(members) > 1:
-            rules.append(ExclusionRule(rule.rule_id, members))
-    return TupleLevelRelation(in_order, rules=rules)

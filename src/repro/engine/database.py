@@ -10,6 +10,7 @@ query log the experiments can inspect.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -27,9 +28,13 @@ from repro.exceptions import EngineError, RelationNotFoundError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.tuple_level import TupleLevelRelation
 
-__all__ = ["ProbabilisticDatabase", "QueryLogEntry"]
+__all__ = ["ProbabilisticDatabase", "QueryLogEntry", "QUERY_LOG_LIMIT"]
 
 Relation = AttributeLevelRelation | TupleLevelRelation
+
+#: The query log keeps this many most recent entries; a long-running
+#: server would otherwise grow it by one entry per query for ever.
+QUERY_LOG_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,9 @@ class ProbabilisticDatabase:
 
     def __init__(self) -> None:
         self._relations: dict[str, Relation] = {}
-        self._query_log: list[QueryLogEntry] = []
+        self._query_log: deque[QueryLogEntry] = deque(
+            maxlen=QUERY_LOG_LIMIT
+        )
 
     # ------------------------------------------------------------------
     # Catalog operations
@@ -170,7 +177,8 @@ class ProbabilisticDatabase:
     ) -> TopKResult:
         """Run a ranking query against a stored relation.
 
-        Every call is appended to :attr:`query_log`.  Pass a
+        Every call is appended to :attr:`query_log`, which keeps the
+        latest :data:`QUERY_LOG_LIMIT` entries.  Pass a
         :class:`~repro.engine.query.ResilientExecutor` to run the
         query down the retry/degradation ladder instead of the plain
         exact path; the log entry then records whether (and to what)
@@ -219,7 +227,7 @@ class ProbabilisticDatabase:
 
     @property
     def query_log(self) -> tuple[QueryLogEntry, ...]:
-        """All queries executed so far, oldest first."""
+        """The latest :data:`QUERY_LOG_LIMIT` queries, oldest first."""
         return tuple(self._query_log)
 
     def clear_query_log(self) -> None:

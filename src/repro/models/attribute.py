@@ -183,6 +183,17 @@ class AttributeLevelRelation(VersionMemo):
             self._tuples, key=lambda row: -row.expected_score()
         )
 
+    def curtailed(self, tids: Iterable[str]) -> "AttributeLevelRelation":
+        """The relation cut to ``tids``, in insertion order.
+
+        A pruning scan answers from this curtailed database of the
+        tuples it has seen.
+        """
+        keep = set(tids)
+        return AttributeLevelRelation(
+            row for row in self._tuples if row.tid in keep
+        )
+
     def max_pdf_size(self) -> int:
         """``s``: the largest per-tuple support size."""
         return max(row.score.support_size for row in self._tuples)

@@ -228,6 +228,24 @@ class TupleLevelRelation(VersionMemo):
             key=lambda row: (-row.score, self._index[row.tid]),
         )
 
+    def curtailed(self, tids: Iterable[str]) -> "TupleLevelRelation":
+        """The relation cut to ``tids``: those tuples in insertion
+        order, each rule cut to its members among them.
+
+        A pruning scan answers from this curtailed database of the
+        tuples it has seen; rules keep their ids and member order.
+        """
+        keep = set(tids)
+        rules: list[ExclusionRule] = []
+        # Implied singletons never keep two members; skip them.
+        for rule in self.explicit_rules:
+            members = [tid for tid in rule if tid in keep]
+            if len(members) > 1:
+                rules.append(ExclusionRule(rule.rule_id, members))
+        return TupleLevelRelation(
+            (row for row in self._tuples if row.tid in keep), rules=rules
+        )
+
     def instantiate(self, rng) -> list[str]:
         """Draw one possible world: choose at most one member per rule.
 

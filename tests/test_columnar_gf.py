@@ -4,8 +4,8 @@ The generating-function sweeps in :mod:`repro.core.columnar` replace
 the Section 7 dynamic programs on the hot path.  Everything here pins
 them to the two references that must keep agreeing to ``1e-9``:
 
-* the legacy DPs (``engine="dp"``), still the paper-faithful O(N^3)
-  and O(N M^2) implementations, and
+* the legacy DPs (``*_rank_distributions_dp``), still the
+  paper-faithful O(N^3) and O(N M^2) implementations, and
 * the possible-worlds oracles in :mod:`repro.baselines.brute_force`.
 
 Plus the polynomial kernels themselves (convolve/deconvolve round
@@ -167,9 +167,9 @@ class TestPolynomialKernels:
 
     def test_numpy_fallback_matches_default_path(self, monkeypatch):
         relation = attribute_workload("uu", 40, pdf_size=3)
-        expected = attribute_rank_distributions(relation, engine="gf")
+        expected = attribute_rank_distributions(relation)
         monkeypatch.setattr(columnar, "_lfilter", None)
-        fallback = attribute_rank_distributions(relation, engine="gf")
+        fallback = attribute_rank_distributions(relation)
         assert_distributions_match(fallback, expected, atol=1e-11)
 
     def test_rank_quantiles_matches_rank_distribution(self):
@@ -198,32 +198,26 @@ class TestAttributeParity:
     @pytest.mark.parametrize("ties", ["by_index", "shared"])
     def test_gf_matches_dp_on_workloads(self, code, ties):
         relation = attribute_workload(code, 48, pdf_size=3)
-        gf = attribute_rank_distributions(
-            relation, ties=ties, engine="gf"
-        )
+        gf = attribute_rank_distributions(relation, ties=ties)
         dp = attribute_rank_distributions_dp(relation, ties=ties)
         assert_distributions_match(gf, dp)
 
     @pytest.mark.parametrize("ties", ["by_index", "shared"])
     def test_gf_matches_oracle_small(self, ties):
         relation = attribute_workload("uu", 5, pdf_size=2, seed=13)
-        gf = attribute_rank_distributions(
-            relation, ties=ties, engine="gf"
-        )
+        gf = attribute_rank_distributions(relation, ties=ties)
         oracle = brute_force_rank_distributions(relation, ties=ties)
         assert_distributions_match(gf, oracle)
 
     @pytest.mark.parametrize("ties", ["by_index", "shared"])
     def test_tie_heavy_relation(self, ties):
         small = tied_attribute_relation(6)
-        gf = attribute_rank_distributions(small, ties=ties, engine="gf")
+        gf = attribute_rank_distributions(small, ties=ties)
         oracle = brute_force_rank_distributions(small, ties=ties)
         assert_distributions_match(gf, oracle)
 
         larger = tied_attribute_relation(64, seed=23)
-        gf = attribute_rank_distributions(
-            larger, ties=ties, engine="gf"
-        )
+        gf = attribute_rank_distributions(larger, ties=ties)
         dp = attribute_rank_distributions_dp(larger, ties=ties)
         assert_distributions_match(gf, dp)
 
@@ -240,13 +234,13 @@ class TestAttributeParity:
         single = AttributeLevelRelation(
             [AttributeTuple("only", DiscretePDF([1.0, 2.0], [0.4, 0.6]))]
         )
-        dists = attribute_rank_distributions(single, engine="gf")
+        dists = attribute_rank_distributions(single)
         assert dists["only"].quantile(0.5) == 0
         assert dists["only"].allclose(
             attribute_rank_distributions_dp(single)["only"]
         )
         empty = AttributeLevelRelation([])
-        assert attribute_rank_distributions(empty, engine="gf") == {}
+        assert attribute_rank_distributions(empty) == {}
 
 
 # ----------------------------------------------------------------------
@@ -257,21 +251,21 @@ class TestTupleParity:
     @pytest.mark.parametrize("ties", ["by_index", "shared"])
     def test_gf_matches_dp_on_workloads(self, code, ties):
         relation = tuple_workload(code, 48)
-        gf = tuple_rank_distributions(relation, ties=ties, engine="gf")
+        gf = tuple_rank_distributions(relation, ties=ties)
         dp = tuple_rank_distributions_dp(relation, ties=ties)
         assert_distributions_match(gf, dp)
 
     @pytest.mark.parametrize("ties", ["by_index", "shared"])
     def test_gf_matches_oracle_small(self, ties):
         relation = small_tuple_relation()
-        gf = tuple_rank_distributions(relation, ties=ties, engine="gf")
+        gf = tuple_rank_distributions(relation, ties=ties)
         oracle = brute_force_rank_distributions(relation, ties=ties)
         assert_distributions_match(gf, oracle)
 
     @pytest.mark.parametrize("ties", ["by_index", "shared"])
     def test_near_certain_rule_mass_regression(self, ties):
         relation = near_certain_rule_relation()
-        gf = tuple_rank_distributions(relation, ties=ties, engine="gf")
+        gf = tuple_rank_distributions(relation, ties=ties)
         dp = tuple_rank_distributions_dp(relation, ties=ties)
         assert_distributions_match(gf, dp)
         oracle = brute_force_rank_distributions(relation, ties=ties)
@@ -285,7 +279,7 @@ class TestTupleParity:
             TupleLevelTuple("low", 6.0, 0.2),
         ]
         relation = TupleLevelRelation(rows)
-        gf = tuple_rank_distributions(relation, engine="gf")
+        gf = tuple_rank_distributions(relation)
         dp = tuple_rank_distributions_dp(relation)
         assert_distributions_match(gf, dp)
         # An absent tuple ranks behind every present one (Definition 7).

@@ -18,6 +18,7 @@ from repro.engine import (
     save_tuple_csv,
     score_cursor,
 )
+from repro.engine.database import QUERY_LOG_LIMIT
 from repro.exceptions import (
     EngineError,
     RelationNotFoundError,
@@ -90,6 +91,17 @@ class TestDatabaseCatalog:
         assert log[1].method == "u_topk"
         db.clear_query_log()
         assert db.query_log == ()
+
+    def test_query_log_keeps_only_the_latest_entries(self, fig2):
+        db = ProbabilisticDatabase()
+        db.create_relation("r", fig2)
+        for k in range(QUERY_LOG_LIMIT + 5):
+            db.topk("r", k, method="expected_score")
+        log = db.query_log
+        assert len(log) == QUERY_LOG_LIMIT
+        assert [entry.k for entry in log] == list(
+            range(5, QUERY_LOG_LIMIT + 5)
+        )
 
     def test_save_and_load_round_trip(self, fig2, fig4, tmp_path):
         db = ProbabilisticDatabase()

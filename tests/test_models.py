@@ -57,6 +57,11 @@ class TestAttributeRelation:
         assert "t1" in fig2
         assert "zzz" not in fig2
 
+    def test_curtailed_keeps_insertion_order(self, fig2):
+        curtailed = fig2.curtailed(["t3", "t1"])
+        assert curtailed.tids() == ("t1", "t3")
+        assert curtailed.tuple_by_id("t3") is fig2.tuple_by_id("t3")
+
     def test_lookup_missing_raises(self, fig2):
         with pytest.raises(ModelError):
             fig2.tuple_by_id("nope")
@@ -218,3 +223,22 @@ class TestTupleLevelRelation:
 
     def test_exclusive_with_self_is_false(self, fig4):
         assert not fig4.exclusive_with("t2", "t2")
+
+    def test_curtailed_cuts_rules_to_kept_members(self):
+        relation = TupleLevelRelation(
+            [
+                TupleLevelTuple(tid, score, 0.2)
+                for tid, score in zip("abcdef", (6, 5, 4, 3, 2, 1))
+            ],
+            rules=[
+                ExclusionRule("r1", ["e", "a", "c"]),
+                ExclusionRule("r2", ["b", "f"]),
+                ExclusionRule("r3", ["d"]),
+            ],
+        )
+        curtailed = relation.curtailed(["e", "c", "b", "d"])
+        assert curtailed.tids() == ("b", "c", "d", "e")
+        assert [
+            (rule.rule_id, rule.tids) for rule in curtailed.explicit_rules
+        ] == [("r1", ("e", "c"))]
+        assert curtailed.rule_of("b").is_singleton

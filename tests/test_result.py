@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
-from repro.core.result import RankedItem, TopKResult
+from repro.core.result import RankedItem, TopKResult, top_k_result
 from repro.exceptions import RankingError
 
 
@@ -64,3 +67,49 @@ class TestTopKResult:
             items=(RankedItem(tid="a", position=0),),
         )
         assert "a" in bare.describe()
+
+
+def _vectors():
+    rng = random.Random(3)
+    yield "heavy_ties", [float(rng.randrange(3)) for _ in range(40)]
+    yield "signed_zeros", [0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0, -0.0]
+    yield "distinct", [rng.uniform(-5.0, 5.0) for _ in range(25)]
+    yield "all_equal", [2.5] * 9
+    yield "empty", []
+
+
+class TestTopKResultSelection:
+    @pytest.mark.parametrize("largest", [False, True])
+    @pytest.mark.parametrize("name, values", list(_vectors()))
+    def test_matches_sort_by_value_then_position(
+        self, name, values, largest
+    ):
+        tids = [f"t{index}" for index in range(len(values))]
+        statistics = dict(zip(tids, values))
+        sign = -1.0 if largest else 1.0
+        expected = sorted(
+            range(len(values)),
+            key=lambda index: (sign * values[index], index),
+        )
+        for k in (0, 1, len(values), len(values) + 5):
+            result = top_k_result(
+                "demo",
+                k,
+                tids,
+                values,
+                statistics,
+                {"exact": True},
+                largest=largest,
+            )
+            winners = expected[:k]
+            assert result.tids() == tuple(tids[i] for i in winners)
+            for item, index in zip(result.items, winners):
+                assert item.statistic == values[index]
+                # -0.0 and 0.0 tie, but each keeps its own sign.
+                assert math.copysign(1.0, item.statistic) == (
+                    math.copysign(1.0, values[index])
+                )
+            assert result.k == k
+            assert result.method == "demo"
+            assert result.statistics is statistics
+            assert result.metadata == {"exact": True}

@@ -839,8 +839,8 @@ class AccountingOutsideLedger(Rule):
             yield node, (
                 "direct ledger .record() call outside "
                 "repro.obs.costs; run the query inside query_scope() "
-                "or meter through CostLedger.meter() so clocks, "
-                "aggregates, and drift stay consistent"
+                "or meter through CostLedger.meter() so clocks and "
+                "aggregates stay consistent"
             )
 
 

@@ -22,9 +22,6 @@ Python:
 * ``lint`` — run the :mod:`repro.analysis` invariant linter (exit 0
   clean, 1 findings, 13 internal analyzer error; see
   ``docs/static_analysis.md``);
-* ``calibrate`` — fit a planner cost model (per-kernel seconds
-  coefficients) from bench history and/or capture logs, persisted as
-  versioned JSON for ``--cost-model`` (see ``docs/observability.md``);
 * ``profile`` — run a query in a loop under the continuous sampling
   profiler and dump collapsed stacks or speedscope JSON
   (``--profile-out`` arms the same profiler on ``topk`` / ``serve``);
@@ -343,21 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="injected per-access latency for the chaos demo",
     )
 
-    # Cost-model flag shared by topk, explain, and serve.
-    costmodel_flags = argparse.ArgumentParser(add_help=False)
-    costmodel_flags.add_argument(
-        "--cost-model",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "plan with calibrated per-kernel cost coefficients from "
-            "PATH (written by 'repro calibrate'); candidate plans are "
-            "ranked by predicted seconds instead of the static "
-            "heuristic"
-        ),
-    )
-
     # Profiler flags shared by topk and serve.
     profile_flags = argparse.ArgumentParser(add_help=False)
     profile_flags.add_argument(
@@ -409,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
             query,
             resilience,
             capture_flags,
-            costmodel_flags,
             profile_flags,
         ],
         help="run a top-k ranking query over a relation file",
@@ -431,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = commands.add_parser(
         "explain",
-        parents=[ingest, query, resilience, costmodel_flags],
+        parents=[ingest, query, resilience],
         help=(
             "with two tuple ids: why one outranks the other; with "
             "none: EXPLAIN a top-k query (plan, cost, timings, events)"
@@ -621,7 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
             ingest,
             resilience,
             capture_flags,
-            costmodel_flags,
             profile_flags,
         ],
         help=(
@@ -752,56 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
             "write structured JSON logs to PATH ('-' for stderr); "
             "records carry trace ids and tenants"
         ),
-    )
-
-    calibrate = commands.add_parser(
-        "calibrate",
-        help=(
-            "fit planner cost-model coefficients from bench history "
-            "and/or capture JSONL, writing versioned JSON for "
-            "--cost-model"
-        ),
-    )
-    calibrate.add_argument(
-        "--history",
-        type=Path,
-        action="append",
-        default=[],
-        metavar="PATH",
-        help=(
-            "BENCH_history.jsonl from the perf-smoke gate "
-            "(repeatable)"
-        ),
-    )
-    calibrate.add_argument(
-        "--capture",
-        type=Path,
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="capture JSONL from --capture-out (repeatable)",
-    )
-    calibrate.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the fitted model as JSON to PATH",
-    )
-    calibrate.add_argument(
-        "--expensive-access-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "predicted seconds charged per tuple access under "
-            "expensive-access planning (default 1e-4)"
-        ),
-    )
-    calibrate.add_argument(
-        "--json",
-        action="store_true",
-        help="print the fitted model document as JSON",
     )
 
     profile = commands.add_parser(
@@ -941,27 +871,6 @@ def _query_options(args) -> dict:
     return options
 
 
-def _planner_for(args, *, expensive_access: bool = False):
-    """A cost-model planner from ``--cost-model``, or ``None``.
-
-    ``None`` (no flag) keeps every code path exactly as before — the
-    engine's static heuristics, bit-identical output.
-    """
-    path = getattr(args, "cost_model", None)
-    if path is None:
-        return None
-    from repro.engine.query import TopKPlanner
-    from repro.obs.costmodel import CostModel
-
-    try:
-        model = CostModel.load(path)
-    except (ValueError, KeyError) as error:
-        raise SchemaError(f"{path}: {error}") from error
-    return TopKPlanner(
-        expensive_access=expensive_access, cost_model=model
-    )
-
-
 @contextmanager
 def _profile_for(args) -> Iterator["object | None"]:
     """Arm the sampling profiler for ``--profile-out``, dump after."""
@@ -983,14 +892,12 @@ def _profile_for(args) -> Iterator["object | None"]:
     )
 
 
-def _build_executor(args, *, planner=None):
+def _build_executor(args):
     """``(executor, injector, retry)`` from the resilience flags.
 
     All three are ``None`` when no resilience flag was given, keeping
     default invocations bit-identical to the exact engine (and free of
-    the resilience layer's overhead).  ``planner`` (a cost-model
-    planner from ``--cost-model``) rides along on the executor when
-    one is built.
+    the resilience layer's overhead).
     """
     resilient = (
         args.deadline_ms is not None
@@ -1033,7 +940,6 @@ def _build_executor(args, *, planner=None):
         # breaker; wiring the board anyway puts per-rung states into
         # the EXPLAIN resilience envelope and capture records.
         breakers=BreakerBoard(),
-        planner=planner,
     )
     return executor, injector, retry
 
@@ -1069,16 +975,11 @@ def _capture_for(args) -> Iterator["object | None"]:
         )
 
 
-def _execute_recorded(
-    relation, k, method, options, executor, relation_name, planner=None
-):
+def _execute_recorded(relation, k, method, options, executor, relation_name):
     """Run one query inside its query scope, named after the input.
 
     With no capture log or ledger installed the scope is a no-op and
-    the plain path (no planner) stays bit-identical to calling the
-    engine directly.  ``planner`` (the ``--cost-model`` hook) routes
-    the plain path through ``planner.plan(...).execute(...)`` so the
-    chosen plan and its estimate replace the static dispatch.
+    the plain path stays bit-identical to calling the engine directly.
     """
     from repro.obs.scope import query_scope
 
@@ -1094,10 +995,6 @@ def _execute_recorded(
             result = executor.execute(
                 relation, k, method=method, **options
             )
-        elif planner is not None:
-            result = planner.plan(
-                relation, k, method, **options
-            ).execute(relation, k)
         else:
             result = rank(relation, k, method=method, **options)
         if record is not None:
@@ -1107,8 +1004,7 @@ def _execute_recorded(
 
 def _command_topk(args) -> int:
     options = _query_options(args)
-    planner = _planner_for(args)
-    executor, injector, retry = _build_executor(args, planner=planner)
+    executor, injector, retry = _build_executor(args)
     with _capture_for(args), _profile_for(args):
         if executor is None:
             relation = _load_for(args)
@@ -1126,7 +1022,6 @@ def _command_topk(args) -> int:
             options,
             executor,
             str(args.file),
-            planner=planner,
         )
     if args.json:
         import json as json_module
@@ -1137,12 +1032,6 @@ def _command_topk(args) -> int:
     accessed = result.metadata.get("tuples_accessed")
     if accessed is not None:
         print(f"tuples accessed: {accessed} of {relation.size}")
-    estimate = result.metadata.get("cost_estimate")
-    if estimate is not None:
-        print(
-            f"predicted: {estimate['total_seconds']:.3g}s "
-            f"({estimate['tuples']} tuples via {estimate['kernel']})"
-        )
     for item in result:
         statistic = (
             "" if item.statistic is None else f"\t{item.statistic:.6g}"
@@ -1229,16 +1118,12 @@ def _command_explain(args) -> int:
         return 0
     from repro.obs.explain import explain as explain_query
 
-    planner = _planner_for(
-        args, expensive_access=not args.cheap_access
-    )
-    executor, injector, retry = _build_executor(args, planner=planner)
+    executor, injector, retry = _build_executor(args)
     relation = _load_for(args, injector=injector, retry=retry)
     report = explain_query(
         relation,
         args.k,
         args.method,
-        planner=planner,
         executor=executor,
         dry_run=args.dry_run,
         expensive_access=not args.cheap_access,
@@ -1323,64 +1208,6 @@ def _command_audit(args) -> int:
     ]
     for name, property_name, counterexample in failures:
         print(f"  {name} / {property_name}: {counterexample}")
-    return 0
-
-
-def _command_calibrate(args) -> int:
-    import json as json_module
-
-    from repro.bench.trend import load_history
-    from repro.obs.capture import read_jsonl
-    from repro.obs.costmodel import (
-        DEFAULT_EXPENSIVE_ACCESS_SECONDS,
-        fit_cost_model,
-    )
-
-    if not args.history and not args.capture:
-        print(
-            "error: calibrate needs at least one --history or "
-            "--capture",
-            file=sys.stderr,
-        )
-        return 2
-    entries: list[dict] = []
-    captures: list[dict] = []
-    sources: list[str] = []
-    for path in args.history:
-        loaded, problems = load_history(path)
-        for problem in problems:
-            print(f"warning: {path}: {problem}", file=sys.stderr)
-        entries.extend(loaded)
-        sources.append(str(path))
-    for path in args.capture:
-        records, problems = read_jsonl(path)
-        for problem in problems:
-            print(f"warning: {path}: {problem}", file=sys.stderr)
-        captures.extend(records)
-        sources.append(str(path))
-    model = fit_cost_model(
-        entries,
-        captures,
-        fitted_from=sources,
-        expensive_access_seconds=(
-            args.expensive_access_seconds
-            if args.expensive_access_seconds is not None
-            else DEFAULT_EXPENSIVE_ACCESS_SECONDS
-        ),
-    )
-    if not model.kernels:
-        print(
-            "error: no calibratable samples in the given sources",
-            file=sys.stderr,
-        )
-        return 1
-    if args.out is not None:
-        model.save(args.out)
-        print(f"wrote cost model to {args.out}", file=sys.stderr)
-    if args.json:
-        print(json_module.dumps(model.to_document(), indent=2))
-    else:
-        print(model.describe())
     return 0
 
 
@@ -1723,7 +1550,6 @@ def _command_serve(args) -> int:
         recorder = FlightRecorder(dump_dir=args.flight_dir)
         recorder.arm()
         set_flight_recorder(recorder)
-    planner = _planner_for(args, expensive_access=True)
     # The serving core always carries a ledger: per-tenant cost
     # attribution is the point of a multi-tenant front end, and the
     # /costs endpoint reads it live.
@@ -1741,7 +1567,6 @@ def _command_serve(args) -> int:
             injector=injector,
             slo=slo,
             ledger=ledger,
-            planner=planner,
         )
         if args.port is not None:
             return _serve_forever(core, args)
@@ -1782,7 +1607,6 @@ _COMMANDS = {
     "churn": _command_churn,
     "audit": _command_audit,
     "generate": _command_generate,
-    "calibrate": _command_calibrate,
     "profile": _command_profile,
     "bench": _command_bench,
     "capture": _command_capture,

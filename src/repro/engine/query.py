@@ -36,7 +36,6 @@ from repro.exceptions import (
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.tuple_level import TupleLevelRelation
 from repro.obs import count, emit_event, trace
-from repro.obs.costmodel import CostEstimate, CostModel
 from repro.obs.logging import get_logger
 from repro.obs.scope import query_scope
 from repro.robust import (
@@ -68,11 +67,6 @@ class TopKPlan:
     method: str
     options: dict
     reason: str
-    #: The calibrated cost model's prediction for the chosen method;
-    #: ``None`` when the planner ran on heuristics alone.
-    estimate: CostEstimate | None = None
-    #: Every candidate the planner priced, cheapest first.
-    candidates: tuple[CostEstimate, ...] = ()
 
     def execute(self, relation: Relation, k: int) -> TopKResult:
         """Run the planned query."""
@@ -90,13 +84,6 @@ class TopKPlan:
         accessed = result.metadata.get("tuples_accessed")
         if isinstance(accessed, int):
             count("query.tuples_accessed", accessed)
-        if self.estimate is not None:
-            # Stamp the prediction so the cost ledger and EXPLAIN can
-            # hold it against the actuals.  Only cost-model plans pay
-            # this copy; heuristic plans stay bit-identical.
-            metadata = dict(result.metadata)
-            metadata["cost_estimate"] = self.estimate.to_dict()
-            result = replace(result, metadata=metadata)
         return result
 
 
@@ -109,23 +96,10 @@ class TopKPlanner:
         Declare that tuple accesses dominate the cost (remote or
         on-disk data).  Pruned variants are then preferred whenever
         they are sound for the input.
-    cost_model:
-        Optional calibrated :class:`~repro.obs.costmodel.CostModel`.
-        When set, candidate plans (the requested method plus its
-        sound pruned twin) are ranked by predicted total seconds,
-        and the heuristic choice is reported in the plan reason as
-        the fallback it remains; without coefficients for the
-        query's kernel the planner behaves exactly as before.
     """
 
-    def __init__(
-        self,
-        *,
-        expensive_access: bool = False,
-        cost_model: CostModel | None = None,
-    ) -> None:
+    def __init__(self, *, expensive_access: bool = False) -> None:
         self.expensive_access = expensive_access
-        self.cost_model = cost_model
 
     def _prune_unsound(
         self, relation: Relation, pruned: str, options: dict
@@ -155,10 +129,7 @@ class TopKPlanner:
     ) -> TopKPlan:
         """Pick the algorithm for ``method`` on ``relation``.
 
-        With a calibrated cost model, candidates are ranked by
-        predicted cost.  Otherwise — or when the model has no
-        coefficient for this kernel — the static heuristic decides,
-        falling back to the exact algorithm (with an explanatory
+        Falls back to the exact algorithm (with an explanatory
         reason) whenever pruning is not applicable: cheap access, a
         method with no pruned twin, phi at the boundary, or
         non-positive scores in the attribute-level model.
@@ -172,10 +143,6 @@ class TopKPlanner:
             )
         if method == "median_rank":
             options.setdefault("phi", 0.5)
-        if self.cost_model is not None:
-            plan = self._plan_by_cost(relation, k, method, options)
-            if plan is not None:
-                return plan
         if not self.expensive_access:
             return TopKPlan(method, options, "access is cheap; exact pass")
         pruned = _PRUNABLE.get(method)
@@ -188,88 +155,6 @@ class TopKPlanner:
             return TopKPlan(method, options, unsound)
         return TopKPlan(
             pruned, options, "expensive access; pruned scan chosen"
-        )
-
-    def _plan_by_cost(
-        self,
-        relation: Relation,
-        k: int,
-        method: str,
-        options: dict,
-    ) -> TopKPlan | None:
-        """Rank candidate plans by calibrated predicted cost.
-
-        Returns ``None`` when the model cannot price the requested
-        method — the caller then applies the heuristic unchanged, so
-        an uncalibrated kernel never sees invented numbers.
-        """
-        model_kind = (
-            "attribute"
-            if isinstance(relation, AttributeLevelRelation)
-            else "tuple"
-        )
-        assert self.cost_model is not None
-        base = self.cost_model.estimate(
-            model_kind,
-            method,
-            relation.size,
-            k,
-            expensive_access=self.expensive_access,
-        )
-        if base is None:
-            return None
-        candidates = [base]
-        pruned = _PRUNABLE.get(method)
-        if (
-            pruned is not None
-            and self._prune_unsound(relation, pruned, options)
-            is None
-        ):
-            twin = self.cost_model.estimate(
-                model_kind,
-                pruned,
-                relation.size,
-                k,
-                expensive_access=self.expensive_access,
-            )
-            if twin is not None:
-                candidates.append(twin)
-        candidates.sort(key=lambda item: item.total_seconds)
-        best = candidates[0]
-        heuristic = (
-            pruned
-            if self.expensive_access
-            and pruned is not None
-            and len(candidates) > 1
-            else method
-        )
-        if len(candidates) > 1:
-            other = candidates[1]
-            comparison = (
-                f"predicted {best.total_seconds:.3g}s for "
-                f"{best.method!r} vs {other.total_seconds:.3g}s "
-                f"for {other.method!r}"
-            )
-        else:
-            comparison = (
-                f"predicted {best.total_seconds:.3g}s for "
-                f"{best.method!r}; only sound candidate"
-            )
-        agreement = (
-            "agrees with"
-            if best.method == heuristic
-            else "overrides"
-        )
-        reason = (
-            f"cost model: {comparison} "
-            f"({agreement} heuristic {heuristic!r})"
-        )
-        return TopKPlan(
-            best.method,
-            options,
-            reason,
-            estimate=best,
-            candidates=tuple(candidates),
         )
 
     def execute(
@@ -410,7 +295,7 @@ class ResilientExecutor:
     # ------------------------------------------------------------------
     def _ladder(
         self, relation: Relation, k: int, method: str, options: dict
-    ) -> tuple[list[_Rung], TopKPlan]:
+    ) -> list[_Rung]:
         rungs = [_Rung("exact", method, dict(options))]
         # The planner validates the method name (UnknownMethodError
         # with the list of valid methods) and picks the pruned twin
@@ -437,7 +322,7 @@ class ResilientExecutor:
                 )
             )
         rungs[-1] = replace(rungs[-1], last_resort=True)
-        return rungs, plan
+        return rungs
 
     def _shrink_mc_budget(
         self, rung_options: dict, deadline: Deadline
@@ -496,7 +381,7 @@ class ResilientExecutor:
         **options,
     ) -> TopKResult:
         deadline = Deadline.from_ms(self.deadline_ms, clock=self._clock)
-        ladder, plan = self._ladder(relation, k, method, options)
+        ladder = self._ladder(relation, k, method, options)
         rng = random.Random(self.seed)
         count("robust.execute.calls")
         attempts = 0
@@ -622,7 +507,6 @@ class ResilientExecutor:
                     faults_survived=faults_survived,
                     backoff_seconds=backoff_seconds,
                     trace_id=root_span.trace_id,
-                    estimate=plan.estimate,
                 )
         raise DeadlineExceededError(  # pragma: no cover - defensive
             "every rung of the degradation ladder failed: "
@@ -650,7 +534,6 @@ class ResilientExecutor:
         faults_survived: int,
         backoff_seconds: float,
         trace_id: str | None = None,
-        estimate: CostEstimate | None = None,
     ) -> TopKResult:
         # Per-rung retry stats only count the *winning* rung's
         # attempts; the failed rungs' attempts live in their ladder
@@ -677,11 +560,4 @@ class ResilientExecutor:
                 "trace_id": trace_id,
             }
         )
-        if estimate is not None:
-            # The planner's prediction for its *chosen* method; the
-            # ledger compares it against whatever rung answered (a
-            # degraded answer drifting from the estimate is signal,
-            # not noise).  Absent without a cost model — the default
-            # metadata stays bit-identical.
-            metadata["cost_estimate"] = estimate.to_dict()
         return replace(result, metadata=metadata)

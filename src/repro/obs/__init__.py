@@ -14,9 +14,8 @@ The layer the benchmarks, the CLI and CI's perf smoke all read from:
 * :func:`to_prometheus` / :func:`parse_prometheus` — registry
   snapshots in Prometheus text exposition format
   (:mod:`repro.obs.export`);
-* :class:`CostLedger` / :class:`CostModel` — per-query resource
-  accounting against a calibrated planner cost model
-  (:mod:`repro.obs.costs`, :mod:`repro.obs.costmodel`);
+* :class:`CostLedger` — per-query resource accounting: wall and CPU
+  seconds, tuples accessed, the answering rung (:mod:`repro.obs.costs`);
 * :func:`query_scope` — one record per executed query, from which
   its capture line and ledger entry are written (:mod:`repro.obs.scope`);
 * :class:`SamplingProfiler` — stdlib-only continuous sampling
@@ -61,11 +60,6 @@ from repro.obs.chrome_trace import (
     build_span_tree,
     to_chrome_trace,
     write_chrome_trace,
-)
-from repro.obs.costmodel import (
-    CostEstimate,
-    CostModel,
-    fit_cost_model,
 )
 from repro.obs.costs import (
     CostEntry,
@@ -144,9 +138,7 @@ __all__ = [
     "OPENMETRICS_CONTENT_TYPE",
     "CaptureLog",
     "CostEntry",
-    "CostEstimate",
     "CostLedger",
-    "CostModel",
     "Counter",
     "ExplainReport",
     "FlightRecorder",
@@ -179,7 +171,6 @@ __all__ = [
     "escape_help",
     "escape_label_value",
     "explain",
-    "fit_cost_model",
     "get_capture",
     "get_cost_ledger",
     "get_flight_recorder",

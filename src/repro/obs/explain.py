@@ -5,10 +5,7 @@ query under a fresh metrics registry and a capturing span sink, then
 folds everything observable about that single query into one
 :class:`ExplainReport`:
 
-* the planner's chosen method and its stated reason — plus, when the
-  planner carries a calibrated :class:`~repro.obs.costmodel.CostModel`,
-  every candidate's predicted cost and the chosen plan's
-  predicted-vs-actual seconds;
+* the planner's chosen method and its stated reason;
 * the paper's cost metric — tuples accessed versus relation size —
   plus the pruning-bound trajectory when a pruned scan ran;
 * per-stage wall times with p50/p95/p99 from the bucketed histograms;
@@ -92,20 +89,6 @@ EXPLAIN_SCHEMA: dict = {
             "properties": {
                 "method": {"type": "string"},
                 "reason": {"type": "string"},
-                "predicted_seconds": {"type": ["number", "null"]},
-                "candidates": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["method", "total_seconds"],
-                        "properties": {
-                            "method": {"type": "string"},
-                            "kernel": {"type": "string"},
-                            "tuples": {"type": "integer"},
-                            "total_seconds": {"type": "number"},
-                        },
-                    },
-                },
             },
         },
         "execution": {
@@ -120,7 +103,6 @@ EXPLAIN_SCHEMA: dict = {
                 "degraded": {"type": "boolean"},
                 "fallback_method": {"type": ["string", "null"]},
                 "wall_seconds": {"type": ["number", "null"]},
-                "predicted_seconds": {"type": ["number", "null"]},
             },
         },
         "pruning": {"type": ["object", "null"]},
@@ -238,7 +220,7 @@ class ExplainReport:
     #: The resilience configuration the query ran under (deadline,
     #: retries, injector, breaker states); ``None`` without executor.
     resilience: dict | None = None
-    schema_version: int = 1
+    schema_version: int = 2
     #: Raw span/event records, for tooling that reconstructs the tree.
     trace: list = field(default_factory=list)
 
@@ -284,16 +266,6 @@ class ExplainReport:
         lines.append(
             f"plan      {self.plan['method']} — {self.plan['reason']}"
         )
-        for candidate in self.plan.get("candidates") or []:
-            marker = (
-                "*" if candidate["method"] == self.plan["method"] else " "
-            )
-            lines.append(
-                f"candidate {marker}{candidate['method']}: predicted "
-                f"{candidate['total_seconds']:.3g}s "
-                f"({candidate.get('tuples')} tuples via "
-                f"{candidate.get('kernel')})"
-            )
         execution = self.execution
         if not execution["executed"]:
             lines.append("execution skipped (dry run)")
@@ -309,18 +281,6 @@ class ExplainReport:
                 else ""
             )
             lines.append(f"cost      {accessed} tuples accessed{percent}")
-        predicted = execution.get("predicted_seconds")
-        wall = execution.get("wall_seconds")
-        if predicted is not None and wall is not None:
-            ratio = (
-                f" ({wall / predicted:.2f}x predicted)"
-                if predicted > 0
-                else ""
-            )
-            lines.append(
-                f"cost      predicted {predicted:.3g}s vs actual "
-                f"{wall:.3g}s{ratio}"
-            )
         if execution.get("degraded"):
             lines.append(
                 "degraded  answered by fallback "
@@ -479,11 +439,6 @@ def explain(
             if root_record is not None
             else None
         ),
-        "predicted_seconds": (
-            plan.estimate.total_seconds
-            if plan.estimate is not None
-            else None
-        ),
     }
     trajectory = metadata.get("prune_trajectory")
     pruning = (
@@ -518,14 +473,6 @@ def explain(
             "method": plan.method,
             "reason": plan.reason,
             "options": _json_safe(dict(plan.options)),
-            "predicted_seconds": (
-                plan.estimate.total_seconds
-                if plan.estimate is not None
-                else None
-            ),
-            "candidates": [
-                candidate.to_dict() for candidate in plan.candidates
-            ],
         },
         execution=execution,
         pruning=pruning,

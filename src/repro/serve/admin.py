@@ -25,7 +25,7 @@ is a dispatch table over five paths:
     carries the alert, the transport stays boring.
 ``/costs``
     The cost ledger's summary (per-tenant/per-method resource
-    aggregates plus calibration drift) as JSON.  Drain-aware with
+    aggregates) as JSON.  Drain-aware with
     ``/readyz`` semantics: 503 once a drain has started, because a
     draining core's ledger is about to stop moving and dashboards
     should fail over with the traffic.

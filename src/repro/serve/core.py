@@ -44,7 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.engine.query import ResilientExecutor, TopKPlanner
+from repro.engine.query import ResilientExecutor
 from repro.exceptions import (
     DeadlineExceededError,
     EngineError,
@@ -243,11 +243,6 @@ class ServingCore:
         execution is metered into it with the request's tenant, and
         the admin plane's ``/costs`` reads its summary.  ``None``
         falls back to the ambient ledger (if one is installed).
-    planner:
-        Optional :class:`~repro.engine.query.TopKPlanner` shared by
-        every per-request executor — the hook for a calibrated
-        cost-model planner; ``None`` keeps each executor's default
-        expensive-access heuristic.
     """
 
     def __init__(
@@ -261,7 +256,6 @@ class ServingCore:
         clock: Callable[[], float] = time.monotonic,
         slo: "SLOEngine | None" = None,
         ledger: CostLedger | None = None,
-        planner: TopKPlanner | None = None,
     ) -> None:
         self.database = database
         self.settings = settings if settings is not None else ServeSettings()
@@ -300,7 +294,6 @@ class ServingCore:
         self._closed = False
         self.slo = slo
         self.ledger = ledger
-        self.planner = planner
 
     # ------------------------------------------------------------------
     # The request path
@@ -464,7 +457,6 @@ class ServingCore:
             injector=self.injector,
             breakers=self.breakers,
             seed=self.settings.seed,
-            planner=self.planner,
         )
         with query_scope(
             None,

@@ -583,154 +583,6 @@ class TestLintCommand:
             assert code in output
 
 
-class TestCalibrateCommand:
-    def history_file(self, tmp_path, kernel="a_erank"):
-        import math
-
-        n = 2000
-        path = tmp_path / "history.jsonl"
-        path.write_text(
-            json.dumps(
-                {
-                    "commit": "abc1234",
-                    "suite": "smoke",
-                    "metrics": {
-                        f"{kernel}/uu/n={n}/seconds": (
-                            n * math.log2(n) * 1e-6
-                        )
-                    },
-                }
-            )
-            + "\n"
-        )
-        return path
-
-    def test_requires_a_source(self, capsys):
-        assert main(["calibrate"]) == 2
-        assert "--history or" in capsys.readouterr().err
-
-    def test_fits_and_writes_a_versioned_model(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "model.json"
-        code = main(
-            [
-                "calibrate",
-                "--history",
-                str(self.history_file(tmp_path)),
-                "--out",
-                str(out),
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "cost model v1" in captured.out
-        assert "a_erank: seconds_per_unit=" in captured.out
-        document = json.loads(out.read_text())
-        assert document["kind"] == "repro-cost-model"
-        assert document["schema"] == 1
-        assert "a_erank" in document["kernels"]
-
-    def test_json_output_is_the_document(self, tmp_path, capsys):
-        code = main(
-            [
-                "calibrate",
-                "--history",
-                str(self.history_file(tmp_path)),
-                "--json",
-            ]
-        )
-        assert code == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["kind"] == "repro-cost-model"
-
-    def test_no_calibratable_samples_exits_one(
-        self, tmp_path, capsys
-    ):
-        code = main(
-            [
-                "calibrate",
-                "--history",
-                str(
-                    self.history_file(
-                        tmp_path, kernel="mystery_kernel"
-                    )
-                ),
-            ]
-        )
-        assert code == 1
-        assert "no calibratable samples" in capsys.readouterr().err
-
-
-class TestCostModelFlag:
-    def model_file(self, tmp_path):
-        from repro.obs.costmodel import CostModel
-
-        path = tmp_path / "model.json"
-        CostModel(
-            {
-                "a_erank": {"seconds_per_unit": 1e-6},
-                "a_erank_prune": {"prefix_ratio": 1.0},
-            }
-        ).save(path)
-        return path
-
-    def test_topk_prints_the_prediction(
-        self, attribute_csv, tmp_path, capsys
-    ):
-        code = main(
-            [
-                "topk",
-                str(attribute_csv),
-                "-k",
-                "2",
-                "--cost-model",
-                str(self.model_file(tmp_path)),
-            ]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "predicted: " in output
-        assert "via a_erank" in output
-
-    def test_explain_reports_candidates_and_actuals(
-        self, attribute_csv, tmp_path, capsys
-    ):
-        code = main(
-            [
-                "explain",
-                str(attribute_csv),
-                "-k",
-                "2",
-                "--cost-model",
-                str(self.model_file(tmp_path)),
-            ]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "candidate" in output
-        assert "predicted" in output
-        assert "vs actual" in output
-
-    def test_invalid_model_file_is_a_schema_error(
-        self, attribute_csv, tmp_path, capsys
-    ):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "something-else", "schema": 1}')
-        code = main(
-            [
-                "topk",
-                str(attribute_csv),
-                "-k",
-                "2",
-                "--cost-model",
-                str(bad),
-            ]
-        )
-        assert code != 0
-        assert "error:" in capsys.readouterr().err
-
-
 class TestProfileCommand:
     def test_requires_out_or_json(self, attribute_csv, capsys):
         code = main(["profile", str(attribute_csv), "-k", "2"])

@@ -1,0 +1,144 @@
+"""Every early halt of a pruned scan is re-checked against the exact answer.
+
+A pruned scan reads tuples in its own access order and stops once its
+bounds certify that no unread tuple can enter the answer.  Whenever a
+scan reports ``halted_early``, this module recomputes the exact
+statistic of *every* tuple with the method's exact twin on the full
+relation and checks the certificate itself:
+
+* rank-by-statistic scans (A-ERank-Prune, T-ERank-Prune and the two
+  quantile-rank scans): among the ``tuples_accessed``-long prefix of the
+  access order, the k-th best exact statistic is no worse than the best
+  exact statistic of any unread tuple, so the exact top-k lies in the
+  read prefix;
+* PT-k's Chernoff scan: no unread tuple has an exact top-k probability
+  at or above the threshold.
+
+The access order is ``order_by_expected_score()`` for attribute-level
+relations and ``order_by_score()`` for tuple-level ones.  Each method
+must halt at least once over the seeded uniform and zipf relations, so
+no test here passes vacuously.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+import pytest
+
+from repro.baselines.pt_k import pt_k, pt_k_scan
+from repro.core.attr_expected_rank import a_erank, a_erank_prune
+from repro.core.attr_mq_rank import a_mqrank, a_mqrank_prune
+from repro.core.tuple_expected_rank import t_erank, t_erank_prune
+from repro.core.tuple_mq_rank import t_mqrank, t_mqrank_prune
+from repro.datagen.attribute_gen import generate_attribute_relation
+from repro.datagen.tuple_gen import generate_tuple_relation
+
+DISTRIBUTIONS = ("uniform", "zipf")
+SEEDS = (1, 2, 3)
+KS = (5, 10)
+TIES = ("shared", "by_index")
+THRESHOLDS = (0.1, 0.3, 0.6)
+ATTRIBUTE_N = 150
+TUPLE_N = 300
+
+
+@lru_cache(maxsize=None)
+def attribute_relation(distribution: str, seed: int):
+    return generate_attribute_relation(
+        ATTRIBUTE_N, score_distribution=distribution, seed=seed
+    )
+
+
+@lru_cache(maxsize=None)
+def tuple_relation(distribution: str, seed: int):
+    return generate_tuple_relation(
+        TUPLE_N, score_distribution=distribution, seed=seed
+    )
+
+
+#: name -> (pruned scan, exact twin, relation factory, access order).
+RANK_SCANS = {
+    "a_erank_prune": (
+        a_erank_prune,
+        a_erank,
+        attribute_relation,
+        lambda relation: relation.order_by_expected_score(),
+    ),
+    "t_erank_prune": (
+        t_erank_prune,
+        t_erank,
+        tuple_relation,
+        lambda relation: relation.order_by_score(),
+    ),
+    "a_mqrank_prune": (
+        a_mqrank_prune,
+        a_mqrank,
+        attribute_relation,
+        lambda relation: relation.order_by_expected_score(),
+    ),
+    "t_mqrank_prune": (
+        t_mqrank_prune,
+        t_mqrank,
+        tuple_relation,
+        lambda relation: relation.order_by_score(),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_SCANS))
+def test_rank_scan_halts_only_on_a_sound_certificate(name):
+    prune, exact, make_relation, access_order = RANK_SCANS[name]
+    halts = 0
+    for distribution in DISTRIBUTIONS:
+        for seed in SEEDS:
+            relation = make_relation(distribution, seed)
+            order = [row.tid for row in access_order(relation)]
+            for ties in TIES:
+                statistics = None
+                for k in KS:
+                    pruned = prune(relation, k, ties=ties)
+                    if not pruned.metadata["halted_early"]:
+                        continue
+                    halts += 1
+                    if statistics is None:
+                        statistics = exact(relation, k, ties=ties).statistics
+                        assert len(statistics) == relation.size
+                    accessed = pruned.metadata["tuples_accessed"]
+                    seen = sorted(statistics[tid] for tid in order[:accessed])
+                    unseen = min(statistics[tid] for tid in order[accessed:])
+                    assert seen[k - 1] <= unseen, (
+                        f"{name} {distribution} seed={seed} k={k} "
+                        f"ties={ties}: halted after {accessed} tuples, "
+                        f"k-th seen statistic {seen[k - 1]!r} is worse "
+                        f"than unseen {unseen!r}"
+                    )
+    assert halts > 0, f"{name} never halted early"
+
+
+def test_pt_k_scan_halts_only_on_a_sound_certificate():
+    halts = 0
+    for distribution in DISTRIBUTIONS:
+        for seed in SEEDS:
+            relation = tuple_relation(distribution, seed)
+            order = [row.tid for row in relation.order_by_score()]
+            for k in KS:
+                for threshold in THRESHOLDS:
+                    scanned = pt_k_scan(relation, k, threshold=threshold)
+                    if not scanned.metadata["halted_early"]:
+                        continue
+                    halts += 1
+                    statistics = pt_k(
+                        relation, k, threshold=threshold
+                    ).statistics
+                    accessed = scanned.metadata["tuples_accessed"]
+                    best_unseen = max(
+                        statistics[tid] for tid in order[accessed:]
+                    )
+                    assert best_unseen < threshold, (
+                        f"pt_k_scan {distribution} seed={seed} k={k} "
+                        f"threshold={threshold}: halted after "
+                        f"{accessed} tuples, an unread tuple has top-k "
+                        f"probability {best_unseen!r}"
+                    )
+    assert halts > 0, "pt_k_scan never halted early"

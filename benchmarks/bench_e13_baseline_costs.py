@@ -10,6 +10,7 @@ complexity analysis predicts.
 
 from __future__ import annotations
 
+import copy
 import functools
 
 from repro.bench import Table, measure_seconds, tuple_workload
@@ -41,11 +42,13 @@ def test_cost_ladder(benchmark, record):
         )
         row: list[object] = [size]
         for name, invoke in METHODS:
+            # A new relation version per method: the rank tables are
+            # memoized per version, so the methods after the first
+            # would otherwise read the first one's table.
             seconds = measure_seconds(
-                lambda invoke=invoke, relation=relation: invoke(
-                    relation, K
-                ),
+                lambda version, invoke=invoke: invoke(version, K),
                 repeats=1,
+                setup=lambda relation=relation: copy.copy(relation),
             )
             times[(size, name)] = seconds
             row.append(seconds)

@@ -16,6 +16,8 @@ the choice is load-bearing:
 
 from __future__ import annotations
 
+import copy
+
 from repro.bench import Table, attribute_workload, measure_seconds
 from repro.core import a_mqrank, a_mqrank_prune
 
@@ -70,7 +72,9 @@ def test_tight_bounds_are_load_bearing(benchmark, record):
 def test_check_cadence_tradeoff(record, benchmark):
     relation = attribute_workload("zipf", N, pdf_size=3)
     exact_seconds = measure_seconds(
-        lambda: a_mqrank(relation, K), repeats=1
+        lambda version: a_mqrank(version, K),
+        repeats=1,
+        setup=lambda: copy.copy(relation),
     )
     table = Table(
         f"E15b — halting-check cadence (zipf, N={N}, k={K}); "
@@ -81,10 +85,11 @@ def test_check_cadence_tradeoff(record, benchmark):
     for cadence in (4, 16, 64):
         result = a_mqrank_prune(relation, K, check_every=cadence)
         seconds = measure_seconds(
-            lambda cadence=cadence: a_mqrank_prune(
-                relation, K, check_every=cadence
+            lambda version, cadence=cadence: a_mqrank_prune(
+                version, K, check_every=cadence
             ),
             repeats=1,
+            setup=lambda: copy.copy(relation),
         )
         accessed.append(result.metadata["tuples_accessed"])
         table.add_row([cadence, accessed[-1], seconds])

@@ -19,7 +19,11 @@ from repro.exceptions import UnsupportedModelError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.tuple_level import TupleLevelRelation
 
-__all__ = ["rank_position_probabilities", "topk_probabilities"]
+__all__ = [
+    "position_matrix",
+    "rank_position_probabilities",
+    "topk_probabilities",
+]
 
 Relation = AttributeLevelRelation | TupleLevelRelation
 
@@ -33,6 +37,16 @@ def _require_known_model(relation: object) -> None:
         )
 
 
+def position_matrix(relation: Relation) -> np.ndarray:
+    """The read-only ``(N, N)`` positional table, rows in relation order.
+
+    Built once per relation version
+    (:func:`~repro.core.columnar.rank_position_probability_matrix`).
+    """
+    _require_known_model(relation)
+    return rank_position_probability_matrix(relation)
+
+
 def rank_position_probabilities(
     relation: Relation,
 ) -> dict[str, np.ndarray]:
@@ -43,8 +57,7 @@ def rank_position_probabilities(
     Tuple-level rows are ``p(t) * Pr[j tuples beat t | t appears]`` and
     sum to ``p(t)``.
     """
-    _require_known_model(relation)
-    matrix = rank_position_probability_matrix(relation)
+    matrix = position_matrix(relation)
     return {
         tid: matrix[position]
         for position, tid in enumerate(relation.tids())
@@ -54,9 +67,9 @@ def rank_position_probabilities(
 def topk_probabilities(relation: Relation, k: int) -> dict[str, float]:
     """``Pr[tuple is among the top-k of a random world]`` per tuple.
 
-    The per-tuple statistic of PT-k [23] and Global-Topk [48].
+    The per-tuple statistic of PT-k [23] and Global-Topk [48].  One
+    row-wise sum over the first ``k`` columns; it adds each row in the
+    same order as summing that row alone, so the floats are the same.
     """
-    table = rank_position_probabilities(relation)
-    return {
-        tid: float(row[: max(k, 0)].sum()) for tid, row in table.items()
-    }
+    sums = position_matrix(relation)[:, : max(k, 0)].sum(axis=1)
+    return dict(zip(relation.tids(), sums.tolist()))

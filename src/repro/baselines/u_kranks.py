@@ -11,7 +11,9 @@ may repeat a tuple id, and the property checkers flag it.
 
 from __future__ import annotations
 
-from repro.baselines.common import rank_position_probabilities
+import numpy as np
+
+from repro.baselines.common import position_matrix
 from repro.core.result import RankedItem, TopKResult
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
@@ -26,31 +28,28 @@ def u_kranks(
 ) -> TopKResult:
     """Top-k where position ``j`` goes to ``argmax_t Pr[rank(t) = j]``.
 
-    Ties on the probability are broken by insertion order.  The
-    reported statistic of each item is its winning probability.
+    Ties on the probability are broken by insertion order: ``argmax``
+    down each of the first ``k`` columns returns the first maximum.
+    The reported statistic of each item is its winning probability.
     """
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
-    table = rank_position_probabilities(relation)
-    order = {tid: index for index, tid in enumerate(relation.tids())}
+    table = position_matrix(relation)
     k = min(k, relation.size)
-    items = []
-    for position in range(k):
-        winner = max(
-            table,
-            key=lambda tid: (table[tid][position], -order[tid]),
+    winners = np.argmax(table[:, :k], axis=0) if k else ()
+    tids = relation.tids()
+    items = tuple(
+        RankedItem(
+            tid=tids[winner],
+            position=position,
+            statistic=float(table[winner, position]),
         )
-        items.append(
-            RankedItem(
-                tid=winner,
-                position=position,
-                statistic=float(table[winner][position]),
-            )
-        )
+        for position, winner in enumerate(winners)
+    )
     return TopKResult(
         method="u_kranks",
         k=k,
-        items=tuple(items),
+        items=items,
         statistics={},
         metadata={"tuples_accessed": relation.size, "exact": True},
     )

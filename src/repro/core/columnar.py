@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -445,7 +445,6 @@ def rank_quantiles(matrix: np.ndarray, phi: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Attribute-level model: one descending sweep over the value universe
 # ----------------------------------------------------------------------
-@profiled("a_mqrank_gf")
 def attribute_rank_pmf_matrix(
     relation: Union[AttributeLevelRelation, AttributeColumns],
     *,
@@ -461,13 +460,19 @@ def attribute_rank_pmf_matrix(
     conditional pmfs are mixed with weights ``Pr[X_i = v]`` exactly as
     in the legacy DP.  ``O(N * S)`` coefficient operations for ``S``
     total support values, vs the DP's ``O(N^2 * S)``.
+
+    A relation's table is built once per version and tie rule and
+    returned read-only (``VersionMemo.table``); an
+    :class:`AttributeColumns` argument is swept on every call.
     """
     _check_ties(ties)
-    columns = (
-        relation
-        if isinstance(relation, AttributeColumns)
-        else relation.columns()
-    )
+    if isinstance(relation, AttributeColumns):
+        return _attribute_sweep(relation, ties)
+    return _attribute_table(relation, ties)[0]
+
+
+@profiled("a_mqrank_gf")
+def _attribute_sweep(columns: AttributeColumns, ties: TieRule) -> np.ndarray:
     n = columns.size
     matrix = np.zeros((n, n))
     if n == 0:
@@ -551,7 +556,6 @@ def attribute_rank_pmf_matrix(
 # ----------------------------------------------------------------------
 # Tuple-level model: one descending sweep over the tuples
 # ----------------------------------------------------------------------
-@profiled("t_mqrank_gf")
 def tuple_present_rank_pmf_matrix(
     relation: Union[TupleLevelRelation, TupleColumns],
     *,
@@ -565,13 +569,19 @@ def tuple_present_rank_pmf_matrix(
     divided by its own rule's factor; under ``by_index`` ties the sweep
     order *is* the beat order so the same division also serves the
     update, giving ``O(N M)`` total vs the DP's ``O(N M^2)``.
+
+    Memoized per relation version and tie rule like
+    :func:`attribute_rank_pmf_matrix`; a :class:`TupleColumns`
+    argument is swept on every call.
     """
     _check_ties(ties)
-    columns = (
-        relation
-        if isinstance(relation, TupleColumns)
-        else relation.columns()
-    )
+    if isinstance(relation, TupleColumns):
+        return _present_sweep(relation, ties)
+    return _present_table(relation, ties)[0]
+
+
+@profiled("t_mqrank_gf")
+def _present_sweep(columns: TupleColumns, ties: TieRule) -> np.ndarray:
     n = columns.size
     m = columns.rule_count
     present = np.zeros((n, max(m, 1)))
@@ -637,18 +647,35 @@ def tuple_rank_pmf_matrix(
     polynomial over all rule masses is built once and each tuple's own
     rule factor is swapped for the leftover mass renormalised by
     ``1 / (1 - p(t))`` — one division and one multiplication per tuple.
+
+    A relation's table is memoized per version and tie rule and reads
+    the memoized present-branch table, so a median query and a later
+    positional query on one version share one sweep.
     """
-    columns = (
-        relation
-        if isinstance(relation, TupleColumns)
-        else relation.columns()
-    )
+    _check_ties(ties)
+    if isinstance(relation, TupleColumns):
+        return _with_absent_branch(
+            relation, _present_sweep(relation, ties)
+        )
+    columns = relation.columns()
+    return relation.table(
+        ("rank", ties),
+        _nbytes(columns.size, max(columns.rule_count, 1) + 1),
+        _rank_build,
+        relation,
+        ties,
+    )[0]
+
+
+def _with_absent_branch(
+    columns: TupleColumns, present: np.ndarray
+) -> np.ndarray:
+    """Mix ``p(t)`` times the present branch with the absent one."""
     n = columns.size
     m = columns.rule_count
     result = np.zeros((n, max(m, 1) + 1))
     if n == 0:
         return result
-    present = tuple_present_rank_pmf_matrix(columns, ties=ties)
     world = product_polynomial(columns.rule_masses)
     for position in range(n):
         probability = float(columns.probs[position])
@@ -682,15 +709,111 @@ def rank_position_probability_matrix(
     The positional table behind PRF, U-kRanks, PT-k and Global-Topk
     (index tie-break).  Attribute-level rows sum to one; tuple-level
     rows are ``p(t)`` times the present-branch pmf and sum to ``p(t)``.
+    Built once per relation version and returned read-only.  The
+    sweep it reads (the attribute pmf, or the present-branch pmf) is
+    checked for mass conservation once per build; a distressed sweep
+    is replaced by the legacy DP's table, which is not kept.
     """
     if isinstance(relation, AttributeLevelRelation):
-        return attribute_rank_pmf_matrix(relation, ties="by_index")
+        table, deviation = _attribute_table(relation, "by_index")
+        if deviation is None:
+            return table
+        _gf_distress("rank_position_probability_matrix", deviation)
+        return _attribute_dp_table(relation)
+    n = relation.size
+    return relation.table(
+        ("position",), _nbytes(n, n), _position_build, relation
+    )[0]
+
+
+# ----------------------------------------------------------------------
+# Memoized tables: one build per relation version, table and tie rule
+# ----------------------------------------------------------------------
+# Each build returns ``(table, deviation)``: the row-stochastic sweeps
+# are checked with ``mass_violation`` once, when they are built, and a
+# distressed table (deviation not None) is handed back but not kept —
+# see ``VersionMemo.table``.
+def _nbytes(rows: int, width: int) -> int:
+    return 8 * rows * width
+
+
+def _checked(
+    sweep: Callable[..., np.ndarray],
+    columns: Union[AttributeColumns, TupleColumns],
+    ties: TieRule,
+) -> tuple[np.ndarray, float | None]:
+    table = sweep(columns, ties)
+    return table, mass_violation(table)
+
+
+def _attribute_table(
+    relation: AttributeLevelRelation, ties: TieRule
+) -> tuple[np.ndarray, float | None]:
+    n = relation.size
+    return relation.table(
+        ("attribute", ties),
+        _nbytes(n, n),
+        _checked,
+        _attribute_sweep,
+        relation.columns(),
+        ties,
+    )
+
+
+def _present_table(
+    relation: TupleLevelRelation, ties: TieRule
+) -> tuple[np.ndarray, float | None]:
     columns = relation.columns()
-    present = tuple_present_rank_pmf_matrix(columns, ties="by_index")
+    return relation.table(
+        ("present", ties),
+        _nbytes(columns.size, max(columns.rule_count, 1)),
+        _checked,
+        _present_sweep,
+        columns,
+        ties,
+    )
+
+
+def _rank_build(
+    relation: TupleLevelRelation, ties: TieRule
+) -> tuple[np.ndarray, float | None]:
+    present, deviation = _present_table(relation, ties)
+    return _with_absent_branch(relation.columns(), present), deviation
+
+
+def _position_build(
+    relation: TupleLevelRelation,
+) -> tuple[np.ndarray, float | None]:
+    columns = relation.columns()
+    present, deviation = _present_table(relation, "by_index")
+    if deviation is not None:
+        _gf_distress("rank_position_probability_matrix", deviation)
+        present = _present_dp_table(relation)
     n = columns.size
     table = np.zeros((n, n))
-    if n == 0:
-        return table
     limit = min(n, present.shape[1])
     table[:, :limit] = present[:, :limit] * columns.probs[:, None]
+    return table, deviation
+
+
+def _attribute_dp_table(relation: AttributeLevelRelation) -> np.ndarray:
+    """The ``by_index`` rank pmfs of the legacy DP as an ``(N, N)`` table."""
+    from repro.core.attr_mq_rank import attribute_rank_distributions_dp
+
+    distributions = attribute_rank_distributions_dp(relation, ties="by_index")
+    table = np.zeros((relation.size, relation.size))
+    for position, tid in enumerate(relation.tids()):
+        pmf = distributions[tid].pmf
+        table[position, : pmf.size] = pmf
     return table
+
+
+def _present_dp_table(relation: TupleLevelRelation) -> np.ndarray:
+    """The ``by_index`` present-branch pmfs of the legacy DP, ``(N, M)``."""
+    from repro.core.tuple_mq_rank import tuple_present_rank_pmf
+
+    present = np.zeros((relation.size, max(relation.rule_count, 1)))
+    for position, tid in enumerate(relation.tids()):
+        pmf = tuple_present_rank_pmf(relation, tid, ties="by_index")
+        present[position, : pmf.size] = pmf
+    return present

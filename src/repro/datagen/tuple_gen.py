@@ -67,7 +67,13 @@ def generate_tuple_relation(
     count:
         Number of tuples ``N``.
     score_distribution:
-        ``"uniform"`` or ``"zipf"`` marginal for scores.
+        ``"uniform"`` or ``"zipf"`` marginal for scores.  Both map the
+        same seeded uniforms through a monotone inverse cdf, so for one
+        seed the two relations have the same probabilities, rules and
+        score order: every rank answer (expected and quantile ranks,
+        U-kRanks, PT-k, Global-Topk) is value-invariant across
+        ``score_distribution``.  Use different seeds to get different
+        rankings.
     correlation:
         ``"independent"``, ``"positive"``, ``"negative"`` (the paper's
         ``uu`` / ``cor`` regimes) or an explicit copula rho in

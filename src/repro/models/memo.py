@@ -8,16 +8,19 @@ it.  Two such things are expensive and read on every query:
 * the content digest (capture records, coalescing keys, replay), a
   canonical-JSON SHA-256 of the whole relation;
 * the flat-array image (``TupleColumns`` / ``AttributeColumns``) that
-  the expected-rank and generating-function kernels run on.
+  the expected-rank and generating-function kernels run on;
+* the rank tables the generating-function sweeps build from those
+  columns (``repro.core.columnar``), which every median, quantile and
+  positional semantics reads.
 
-:class:`VersionMemo` gives both relation classes ``digest()`` and
-``columns()``.  Each value is built lazily on first use and exactly
-once per object: a miss takes a per-value lock, re-checks and builds,
-so concurrent first readers wait for one build instead of racing.
-The build functions are looked up at call time
-(``repro.obs.capture.relation_digest`` and the columns class's
-``from_relation``), so wrappers installed on those names see every
-build.
+:class:`VersionMemo` gives both relation classes ``digest()``,
+``columns()`` and ``table()``.  Each value is built lazily on first
+use and exactly once per object: a miss takes a per-value lock,
+re-checks and builds, so concurrent first readers wait for one build
+instead of racing.  The build functions are looked up at call time
+(``repro.obs.capture.relation_digest``, the columns class's
+``from_relation`` and the callable handed to ``table()``), so
+wrappers installed on those names see every build.
 """
 
 from __future__ import annotations
@@ -25,16 +28,22 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable
 
-__all__ = ["Lazy", "VersionMemo"]
+__all__ = ["Lazy", "TABLE_BUDGET_BYTES", "VersionMemo"]
 
 _UNSET: Any = object()
+
+#: Largest table a relation version keeps, in bytes: an ``N x N``
+#: float64 table up to ``N = 2048``.  A bigger table is built on every
+#: call and dropped with its result.
+TABLE_BUDGET_BYTES = 32 * 2**20
 
 
 class Lazy:
     """A value built on first use, exactly once (single flight).
 
-    Reads after the build take no lock.  A build that raises leaves
-    the slot empty, so the next reader tries again.
+    Reads after the build take no lock.  A build that raises, or
+    whose value ``keep`` rejects, leaves the slot empty, so the next
+    reader builds again.
     """
 
     __slots__ = ("_value", "_lock")
@@ -43,14 +52,20 @@ class Lazy:
         self._value = _UNSET
         self._lock = threading.Lock()
 
-    def get(self, build: Callable[..., Any], *args: Any) -> Any:
+    def get(
+        self,
+        build: Callable[..., Any],
+        *args: Any,
+        keep: Callable[[Any], bool] | None = None,
+    ) -> Any:
         value = self._value
         if value is _UNSET:
             with self._lock:
                 value = self._value
                 if value is _UNSET:
                     value = build(*args)
-                    self._value = value
+                    if keep is None or keep(value):
+                        self._value = value
         return value
 
 
@@ -66,8 +81,17 @@ def _columns_of(relation: "VersionMemo") -> Any:
     return getattr(columnar, relation._COLUMNS).from_relation(relation)
 
 
+def _freeze_if_sound(built: tuple[Any, Any]) -> bool:
+    """Whether to keep ``(array, flaw)``; a kept array turns read-only."""
+    table, flaw = built
+    if flaw is not None:
+        return False
+    table.flags.writeable = False
+    return True
+
+
 class VersionMemo:
-    """Mixin: the memoized digest and columns of a relation version.
+    """Mixin: the memoized digest, columns and tables of a version.
 
     Subclasses call :meth:`_reset_memo` in ``__init__`` and name their
     columns class in ``_COLUMNS``.  A copy (``copy.copy``) or an
@@ -79,6 +103,7 @@ class VersionMemo:
     def _reset_memo(self) -> None:
         self._digest_memo = Lazy()
         self._columns_memo = Lazy()
+        self._table_memo: dict[Any, Lazy] = {}
 
     def digest(self) -> str:
         """Stable 16-hex content digest, computed once per object."""
@@ -87,6 +112,29 @@ class VersionMemo:
     def columns(self) -> Any:
         """Flat-array image of this version, built once per object."""
         return self._columns_memo.get(_columns_of, self)
+
+    def table(
+        self,
+        key: Any,
+        nbytes: int,
+        build: Callable[..., tuple[Any, Any]],
+        *args: Any,
+    ) -> tuple[Any, Any]:
+        """``build(*args)``, once per object and ``key``: ``(array, flaw)``.
+
+        ``build`` returns a numpy array and its flaw, ``None`` for a
+        sound array.  ``nbytes`` is the array's size, known before the
+        build: over :data:`TABLE_BUDGET_BYTES` every call builds and
+        nothing is kept.  Otherwise a sound array is kept and made
+        read-only, and a flawed one (a numerically distressed sweep,
+        say) is returned but not kept.
+        """
+        if nbytes > TABLE_BUDGET_BYTES:
+            return build(*args)
+        slot = self._table_memo.get(key)
+        if slot is None:
+            slot = self._table_memo.setdefault(key, Lazy())
+        return slot.get(build, *args, keep=_freeze_if_sound)
 
     def __copy__(self) -> "VersionMemo":
         clone = object.__new__(type(self))
@@ -97,6 +145,7 @@ class VersionMemo:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         del state["_digest_memo"], state["_columns_memo"]
+        del state["_table_memo"]
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -148,6 +148,24 @@ class TestUkRanks:
     def test_certain_data_reduces_to_topk(self, certain_attribute):
         assert u_kranks(certain_attribute, 3).tids() == ("a", "b", "c")
 
+    def test_probability_ties_go_to_the_earlier_tuple(self):
+        from repro.models import (
+            AttributeLevelRelation,
+            AttributeTuple,
+            DiscretePDF,
+        )
+
+        # Each tuple wins each position with probability exactly 1/2.
+        relation = AttributeLevelRelation(
+            [
+                AttributeTuple("first", DiscretePDF([1.0, 10.0], [0.5, 0.5])),
+                AttributeTuple("second", DiscretePDF([2.0, 9.0], [0.5, 0.5])),
+            ]
+        )
+        result = u_kranks(relation, 2)
+        assert [item.statistic for item in result] == [0.5, 0.5]
+        assert result.tids() == ("first", "first")
+
 
 class TestPTk:
     def test_threshold_filters(self, fig4):

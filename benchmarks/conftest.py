@@ -5,6 +5,11 @@ stdout, tables are (a) written to ``benchmarks/results/<exp>.txt`` so
 they survive any run, and (b) replayed in the terminal summary at the
 end of the session so ``pytest benchmarks/ --benchmark-only`` shows
 them inline.
+
+A session rewrites only the tables it records: the first ``record``
+of an experiment id in a session truncates its file and later ones
+append, so running one benchmark file (or a ``-m smoke`` slice) leaves
+every other committed table as it was.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from repro.bench import Table
 RESULTS_DIR = Path(__file__).parent / "results"
 
 _SESSION_TABLES: list[Table] = []
+_SESSION_IDS: set[str] = set()
 
 
 @pytest.fixture
@@ -31,22 +37,16 @@ def record():
         RESULTS_DIR.mkdir(exist_ok=True)
         path = RESULTS_DIR / f"{experiment_id}.txt"
         rendered = table.render()
-        if path.exists():
+        if experiment_id in _SESSION_IDS:
             path.write_text(path.read_text() + "\n\n" + rendered + "\n")
         else:
+            _SESSION_IDS.add(experiment_id)
             path.write_text(rendered + "\n")
         _SESSION_TABLES.append(table)
         print()
         print(rendered)
 
     return _record
-
-
-def pytest_sessionstart(session):
-    """Start each session with a clean results directory."""
-    if RESULTS_DIR.exists():
-        for stale in RESULTS_DIR.glob("*.txt"):
-            stale.unlink()
 
 
 def pytest_terminal_summary(terminalreporter):

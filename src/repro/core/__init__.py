@@ -7,9 +7,7 @@ checkers, and the unified semantics registry.
 from repro.core.attr_expected_rank import (
     a_erank,
     a_erank_prune,
-    a_erank_prune_lazy,
     attribute_expected_ranks,
-    attribute_expected_ranks_quadratic,
     attribute_expected_ranks_vectorized,
 )
 from repro.core.attr_mq_rank import (
@@ -69,7 +67,10 @@ from repro.core.semantics import (
     rank,
     register_method,
 )
-from repro.core.reference import tuple_expected_ranks_quadratic
+from repro.core.reference import (
+    attribute_expected_ranks_quadratic,
+    tuple_expected_ranks_quadratic,
+)
 from repro.core.tuple_expected_rank import (
     t_erank,
     t_erank_prune,
@@ -95,7 +96,6 @@ __all__ = [
     "TupleColumns",
     "a_erank",
     "a_erank_prune",
-    "a_erank_prune_lazy",
     "a_mqrank",
     "a_mqrank_prune",
     "attribute_expected_ranks",

@@ -15,30 +15,29 @@ Two algorithms:
   The scan halts once ``k`` seen tuples have upper bounds below the
   lower bound of every unseen tuple, then answers from the curtailed
   database exactly as the paper prescribes.  The Markov step requires
-  strictly positive scores.
+  strictly positive scores.  The scan state, :class:`_SeenPrefix`, is
+  shared with A-MQRank-Prune.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
 from dataclasses import replace
 
-from repro.core.beats import beat_probability
+import numpy as np
+
 from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import PruningBoundError, RankingError
-from repro.models.attribute import AttributeLevelRelation, AttributeTuple
+from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.obs import count, get_registry, profiled
 
 __all__ = [
     "attribute_expected_ranks",
-    "attribute_expected_ranks_quadratic",
     "attribute_expected_ranks_vectorized",
     "a_erank",
     "a_erank_prune",
-    "a_erank_prune_lazy",
 ]
 
 
@@ -146,8 +145,6 @@ def attribute_expected_ranks_vectorized(
     """
     _check_ties(ties)
     count("a_erank_vectorized.tuples_accessed", relation.size)
-    import numpy as np
-
     sizes = [row.score.support_size for row in relation]
     total = sum(sizes)
     values = np.empty(total)
@@ -228,35 +225,6 @@ def attribute_expected_ranks_vectorized(
     }
 
 
-@profiled("a_erank_bfs")
-def attribute_expected_ranks_quadratic(
-    relation: AttributeLevelRelation,
-    *,
-    ties: TieRule = "shared",
-) -> dict[str, float]:
-    """The paper's brute-force-search (BFS) baseline: direct evaluation
-    of equation (3), ``r(t_i) = sum_{j != i} Pr[X_j > X_i]``.
-
-    ``O(N^2)`` pairwise comparisons — the comparison point of the
-    scalability experiment (E3), kept deliberately naive.
-    """
-    _check_ties(ties)
-    ranks: dict[str, float] = {}
-    for position, row in enumerate(relation):
-        total = 0.0
-        for other_position, other in enumerate(relation):
-            if other_position == position:
-                continue
-            total += beat_probability(
-                other.score,
-                row.score,
-                challenger_is_earlier=other_position < position,
-                ties=ties,
-            )
-        ranks[row.tid] = total
-    return ranks
-
-
 def a_erank(
     relation: AttributeLevelRelation,
     k: int,
@@ -281,29 +249,118 @@ def a_erank(
     )
 
 
-class _SeenTuple:
-    """Per-tuple pruning state: seen-beats sum and Markov tail shape."""
 
-    __slots__ = ("row", "position", "seen_term", "inverse_moment")
 
-    def __init__(self, row: AttributeTuple, position: int) -> None:
-        self.row = row
-        self.position = position
-        # sum over seen j != i of Pr[X_j beats X_i]
-        self.seen_term = 0.0
-        # sum_l p_{i,l} / v_{i,l}; multiplied by E[X_n] it gives the
-        # Markov tail term of equation (5) before clamping.
-        self.inverse_moment = math.fsum(
-            probability / value for value, probability in row.score.items()
+class _SeenPrefix:
+    """The Section 5.2 scan state on the relation's columns.
+
+    Row ``r`` of the padded ``(N, s)`` arrays holds the pdf of the
+    ``r``-th tuple in access order (decreasing expected score, ties by
+    insertion), so after ``n`` arrivals the seen tuples are the first
+    ``n`` rows.  Padding has value ``+inf`` and mass 0: it is never
+    beaten and never beats, and adds an exact ``0.0`` to every sum.
+
+    Every float equals the pairwise scan's in
+    :mod:`repro.core.reference`: a tuple's terms are summed left to
+    right (``np.cumsum`` along a row), never by numpy's pairwise
+    ``np.sum``, and tail indices are exact integer counts.
+    """
+
+    def __init__(
+        self, relation: AttributeLevelRelation, ties: TieRule
+    ) -> None:
+        columns = relation.columns()
+        minima = columns.values[columns.offsets[:-1]]
+        nonpositive = np.flatnonzero(minima <= 0.0)
+        if nonpositive.size:
+            first = nonpositive[0]
+            raise PruningBoundError(
+                f"tuple {columns.tids[first]!r} has score "
+                f"{float(minima[first])!r}; the Markov bounds require "
+                "strictly positive scores"
+            )
+        expected = np.array(relation.expected_scores(), dtype=float)
+        order = np.argsort(-expected, kind="stable")
+        access_row = np.empty_like(order)
+        access_row[order] = np.arange(order.size)
+        self.sizes = np.diff(columns.offsets)[order]
+        rows = access_row[columns.owners]
+        entries = np.arange(columns.owners.size) - columns.offsets[
+            columns.owners
+        ]
+        shape = (order.size, int(self.sizes.max(initial=0)))
+        self.values = np.full(shape, np.inf)
+        self.values[rows, entries] = columns.values
+        self.probs = np.zeros(shape)
+        self.probs[rows, entries] = columns.probs
+        # suffix[r, l] = Pr[X_r >= v_{r,l}], summed from the top as the
+        # pdf does; suffix[r, size_r:] = 0.
+        self.suffix = np.zeros((shape[0], shape[1] + 1))
+        self.suffix[:, :-1] = np.cumsum(self.probs[:, ::-1], axis=1)[:, ::-1]
+        self.positions = order
+        self.expected = expected[order]
+        self.tids = columns.tids
+        self.ties = ties
+        # sum over seen j != i of Pr[X_j beats X_i]: eq. 5's first term.
+        self.seen_terms = np.zeros(order.size)
+        self.n = 0
+
+    def seen_tids(self) -> list[str]:
+        return [self.tids[position] for position in self.positions[: self.n]]
+
+    def mass_above(
+        self, thresholds: np.ndarray, inclusive: np.ndarray
+    ) -> np.ndarray:
+        """``Pr[X_j > v]`` for every seen row ``j`` and ``v`` in
+        ``thresholds``, ``Pr[X_j >= v]`` on the rows ``inclusive``
+        marks: shape ``(n, len(thresholds))``."""
+        seen = self.values[: self.n, :, None]
+        below = seen <= thresholds
+        if inclusive.any():
+            below &= ~(inclusive[:, None, None] & (seen == thresholds))
+        # Rows are sorted, so the count of entries below a threshold is
+        # the index of its tail mass.
+        index = np.zeros(below.shape[::2], dtype=np.int64)
+        for column in below.transpose(1, 0, 2):
+            index += column
+        return np.take_along_axis(self.suffix[: self.n], index, axis=1)
+
+    def beats_on(self, row: int) -> np.ndarray:
+        """``Pr[X_j beats v_{row,l}]`` for every seen row ``j`` and
+        entry ``l`` of ``row``; seen rows inserted before ``row`` also
+        beat on a tie under ``by_index``."""
+        earlier = self.positions[: self.n] < self.positions[row]
+        return self.mass_above(
+            self.values[row], earlier & (self.ties == "by_index")
         )
 
-    def markov_tail(self, expectation_bound: float) -> float:
-        """``sum_l p_{i,l} min(1, E / v_{i,l})`` — clamped equation 5/6
-        term."""
-        tail = 0.0
-        for value, probability in self.row.score.items():
-            tail += probability * min(1.0, expectation_bound / value)
-        return tail
+    def arrive(self) -> None:
+        """Read the next tuple: its beat probability joins every seen
+        tuple's sum, and every seen tuple's beat probability on it
+        starts its own sum, in access order."""
+        row = self.n
+        if row:
+            own = np.cumsum(self.probs[row] * self.beats_on(row), axis=1)
+            self.seen_terms[row] = np.cumsum(own[:, -1])[-1]
+            challenger = self.values[row]
+            index = np.searchsorted(challenger, self.values[:row], "right")
+            if self.ties == "by_index":
+                later = self.positions[row] < self.positions[:row]
+                index = np.where(
+                    later[:, None],
+                    np.searchsorted(challenger, self.values[:row], "left"),
+                    index,
+                )
+            beats = self.probs[:row] * self.suffix[row][index]
+            self.seen_terms[:row] += np.cumsum(beats, axis=1)[:, -1]
+        self.n = row + 1
+
+    def markov_tails(self) -> np.ndarray:
+        """``sum_l p_{i,l} min(1, E[X_n] / v_{i,l})`` for every seen
+        tuple: the clamped Markov term of equations 5 and 6."""
+        seen = slice(self.n)
+        ratio = np.minimum(1.0, self.expected[self.n - 1] / self.values[seen])
+        return np.cumsum(self.probs[seen] * ratio, axis=1)[:, -1]
 
 
 @profiled("a_erank_prune")
@@ -343,16 +400,8 @@ def a_erank_prune(
                 "ties": ties,
             },
         )
-    for row in relation:
-        if row.score.min_value <= 0.0:
-            raise PruningBoundError(
-                f"tuple {row.tid!r} has score {row.score.min_value!r}; "
-                "A-ERank-Prune requires strictly positive scores"
-            )
-
-    access_order = relation.order_by_expected_score()
+    scan = _SeenPrefix(relation, ties)
     total = relation.size
-    seen: list[_SeenTuple] = []
     halted_early = False
 
     # Bound trajectory for EXPLAIN: recorded only while observability
@@ -362,40 +411,17 @@ def a_erank_prune(
     )
     stride = max(1, total // 64)
 
-    for row in access_order:
-        arriving = _SeenTuple(row, relation.position_of(row.tid))
-        # Update pairwise seen-beats sums (the first term of eq. 5).
-        for other in seen:
-            other.seen_term += beat_probability(
-                arriving.row.score,
-                other.row.score,
-                challenger_is_earlier=arriving.position < other.position,
-                ties=ties,
-            )
-            arriving.seen_term += beat_probability(
-                other.row.score,
-                arriving.row.score,
-                challenger_is_earlier=other.position < arriving.position,
-                ties=ties,
-            )
-        seen.append(arriving)
-
-        n = len(seen)
+    while scan.n < total:
+        scan.arrive()
+        n = scan.n
         if n < k or n == total:
             continue
-        expectation_bound = row.expected_score()
-        tails = [entry.markov_tail(expectation_bound) for entry in seen]
-        unseen_count = total - n
-        upper_bounds = [
-            entry.seen_term + unseen_count * tail
-            for entry, tail in zip(seen, tails)
-        ]
+        tails = scan.markov_tails()
+        upper_bounds = scan.seen_terms[:n] + (total - n) * tails
         lower_bound = n - math.fsum(tails)
-        kth_upper = heapq.nsmallest(k, upper_bounds)[-1]
+        kth_upper = float(np.partition(upper_bounds, k - 1)[k - 1])
         halting = kth_upper < lower_bound
-        if trajectory is not None and (
-            halting or n % stride == 0 or n == total
-        ):
+        if trajectory is not None and (halting or n % stride == 0):
             trajectory.append(
                 {
                     "accessed": n,
@@ -407,119 +433,19 @@ def a_erank_prune(
             halted_early = True
             break
 
-    count("a_erank_prune.tuples_accessed", len(seen))
+    count("a_erank_prune.tuples_accessed", scan.n)
     if halted_early:
         count("a_erank_prune.halted_early")
-    curtailed = relation.curtailed(entry.row.tid for entry in seen)
     metadata: dict[str, object] = {
-        "tuples_accessed": len(seen),
+        "tuples_accessed": scan.n,
         "halted_early": halted_early,
-        "exact": len(seen) == total,
+        "exact": scan.n == total,
         "ties": ties,
     }
     if trajectory is not None:
         metadata["prune_trajectory"] = tuple(trajectory)
     return replace(
-        a_erank(curtailed, k, ties=ties),
+        a_erank(relation.curtailed(scan.seen_tids()), k, ties=ties),
         method="expected_rank_prune",
         metadata=metadata,
-    )
-
-
-@profiled("a_erank_prune_lazy")
-def a_erank_prune_lazy(
-    relation: AttributeLevelRelation,
-    k: int,
-    *,
-    check_every: int = 16,
-) -> TopKResult:
-    """A-ERank-Prune with batched, universe-based bound evaluation.
-
-    The closing remark of paper Section 5.2: instead of updating every
-    seen tuple's pairwise term on each arrival (the quadratic scan of
-    :func:`a_erank_prune`), "utilize [the] value universe U of all seen
-    tuples and maintain prefix sums of the q(v) values".  Arrivals here
-    cost ``O(1)``; every ``check_every`` arrivals the bounds of *all*
-    seen tuples are recomputed from one sort + suffix sum over the seen
-    alternatives (``O(S log S)`` per check, ``S`` = seen pdf entries),
-    exactly as the exact A-ERank does over the full relation.
-
-    Semantics match :func:`a_erank_prune` under Definition 6 ties
-    (``shared``); the scan may overshoot the minimal halting prefix by
-    at most ``check_every - 1`` tuples.  Requires strictly positive
-    scores, like every Markov-bound variant.
-    """
-    if k < 0:
-        raise RankingError(f"k must be >= 0, got {k!r}")
-    if check_every < 1:
-        raise RankingError(
-            f"check_every must be >= 1, got {check_every!r}"
-        )
-    if k == 0:
-        return TopKResult(
-            method="expected_rank_prune_lazy",
-            k=0,
-            items=(),
-            metadata={
-                "tuples_accessed": 0,
-                "halted_early": True,
-                "exact": False,
-                "ties": "shared",
-            },
-        )
-    for row in relation:
-        if row.score.min_value <= 0.0:
-            raise PruningBoundError(
-                f"tuple {row.tid!r} has score {row.score.min_value!r}; "
-                "A-ERank-Prune requires strictly positive scores"
-            )
-
-    access_order = relation.order_by_expected_score()
-    total = relation.size
-    seen: list[AttributeTuple] = []
-    halted_early = False
-
-    for scanned, row in enumerate(access_order, start=1):
-        seen.append(row)
-        n = len(seen)
-        if n < k or n == total or scanned % check_every:
-            continue
-
-        # One pass over the seen universe: q_seen(v) for every value.
-        oracle = _TailOracle(AttributeLevelRelation(seen))
-        expectation_bound = row.expected_score()
-        tail_sum = 0.0
-        upper_bounds = []
-        for candidate in seen:
-            seen_term = 0.0
-            tail = 0.0
-            for value, probability in candidate.score.items():
-                seen_term += probability * (
-                    oracle.mass_greater(value)
-                    - candidate.score.pr_greater(value)
-                )
-                tail += probability * min(
-                    1.0, expectation_bound / value
-                )
-            tail_sum += tail
-            upper_bounds.append(seen_term + (total - n) * tail)
-        lower_bound = n - tail_sum
-        kth_upper = heapq.nsmallest(k, upper_bounds)[-1]
-        if kth_upper < lower_bound:
-            halted_early = True
-            break
-
-    count("a_erank_prune_lazy.tuples_accessed", len(seen))
-    if halted_early:
-        count("a_erank_prune_lazy.halted_early")
-    curtailed = relation.curtailed(row.tid for row in seen)
-    return replace(
-        a_erank(curtailed, k, ties="shared"),
-        method="expected_rank_prune_lazy",
-        metadata={
-            "tuples_accessed": len(seen),
-            "halted_early": halted_early,
-            "exact": len(seen) == total,
-            "ties": "shared",
-        },
     )

@@ -43,6 +43,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from repro.core.attr_expected_rank import _SeenPrefix
 from repro.core.beats import value_beat_probability
 from repro.core.columnar import (
     _gf_distress,
@@ -205,7 +206,7 @@ def _markov_quantile_upper(expected_rank_upper: float, phi: float) -> int:
 
 
 def _unseen_quantile_lower(
-    seen_rows,
+    scan: _SeenPrefix,
     expectation_bound: float,
     phi: float,
 ) -> int:
@@ -218,27 +219,20 @@ def _unseen_quantile_lower(
     tuples.  The quantile is then at least the smallest ``r`` with
     ``m* + F*(r) >= phi``; the candidates' maximum is returned.
     """
-    expected = sorted(
-        {row.expected_score() for row in seen_rows}, reverse=True
-    )
-    if not expected:
-        return 0
+    expected = np.unique(scan.expected[: scan.n])[::-1]
     # A percentile spread: small thresholds give large beat masses but
     # also large Markov slack; the sweet spot varies with the data.
     picks = {
-        expected[min(len(expected) - 1, int(f * len(expected)))]
+        float(expected[min(len(expected) - 1, int(f * len(expected)))])
         for f in (0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9)
     }
+    inclusive = np.ones(scan.n, dtype=bool)
     best = 0
     for threshold in picks:
-        if threshold <= 0.0:
-            continue
         slack = min(1.0, expectation_bound / threshold)
         if slack >= phi:
             continue  # the Markov mass alone already reaches phi
-        params = [
-            row.score.pr_greater_equal(threshold) for row in seen_rows
-        ]
+        params = scan.mass_above(np.array([threshold]), inclusive)[:, 0]
         cdf = np.cumsum(poisson_binomial_pmf(params))
         reachable = np.nonzero(slack + cdf >= phi - 1e-12)[0]
         lower = int(reachable[0]) if reachable.size else len(params)
@@ -247,13 +241,12 @@ def _unseen_quantile_lower(
 
 
 def _seen_quantile_upper(
-    candidate: "_SeenTuple",
-    seen,
+    scan: _SeenPrefix,
+    row: int,
     unseen_count: int,
     expectation_bound: float,
     phi: float,
     markov_cap: int,
-    ties: TieRule,
 ) -> int:
     """Certified upper bound on one seen tuple's phi-quantile rank.
 
@@ -263,27 +256,17 @@ def _seen_quantile_upper(
     and ``Pr[R <= q] >= sum_v p_v F_{PB_v * Bin_v}(q)``.  The returned
     bound never exceeds ``markov_cap`` (the pure-Markov bound).
     """
-    from repro.core.beats import value_beat_probability
-
+    beats = scan.beats_on(row)[np.arange(scan.n) != row]
     components: list[tuple[float, np.ndarray]] = []
     horizon = markov_cap + 1
-    for value, probability in candidate.row.score.items():
-        params = [
-            value_beat_probability(
-                other.row.score,
-                value,
-                challenger_is_earlier=other.position
-                < candidate.position,
-                ties=ties,
-            )
-            for other in seen
-            if other is not candidate
-        ]
-        seen_pmf = poisson_binomial_pmf(params)
-        tail_probability = min(1.0, expectation_bound / value)
+    for entry in range(scan.sizes[row]):
+        seen_pmf = poisson_binomial_pmf(beats[:, entry])
+        tail_probability = min(
+            1.0, expectation_bound / scan.values[row, entry]
+        )
         unseen_pmf = binomial_pmf(unseen_count, tail_probability)
         combined = np.convolve(seen_pmf, unseen_pmf)[:horizon]
-        components.append((probability, combined))
+        components.append((scan.probs[row, entry], combined))
     size = max(len(pmf) for _, pmf in components)
     cdf_lower = np.zeros(size)
     for probability, pmf in components:
@@ -337,47 +320,18 @@ def a_mqrank_prune(
         raise RankingError(
             f"check_every must be >= 1, got {check_every!r}"
         )
-    for row in relation:
-        if row.score.min_value <= 0.0:
-            raise PruningBoundError(
-                f"tuple {row.tid!r} has score {row.score.min_value!r}; "
-                "the Markov bounds require strictly positive scores"
-            )
-
-    # Reuse A-ERank-Prune's incremental seen-term machinery.
-    from repro.core.attr_expected_rank import _SeenTuple
-    from repro.core.beats import beat_probability
-
-    access_order = relation.order_by_expected_score()
+    scan = _SeenPrefix(relation, ties)
     total = relation.size
-    seen: list[_SeenTuple] = []
     halted_early = False
 
-    for scanned, row in enumerate(access_order, start=1):
-        arriving = _SeenTuple(row, relation.position_of(row.tid))
-        for other in seen:
-            other.seen_term += beat_probability(
-                arriving.row.score,
-                other.row.score,
-                challenger_is_earlier=arriving.position < other.position,
-                ties=ties,
-            )
-            arriving.seen_term += beat_probability(
-                other.row.score,
-                arriving.row.score,
-                challenger_is_earlier=other.position < arriving.position,
-                ties=ties,
-            )
-        seen.append(arriving)
-
-        n = len(seen)
-        if n < max(k, 1) or n == total or scanned % check_every:
+    while scan.n < total:
+        scan.arrive()
+        n = scan.n
+        if n < max(k, 1) or n == total or n % check_every:
             continue
-        expectation_bound = row.expected_score()
+        expectation_bound = scan.expected[n - 1]
         unseen_count = total - n
-        lower = _unseen_quantile_lower(
-            [entry.row for entry in seen], expectation_bound, phi
-        )
+        lower = _unseen_quantile_lower(scan, expectation_bound, phi)
         if k == 0:
             halted_early = True
             break
@@ -386,46 +340,39 @@ def a_mqrank_prune(
         # Rank every seen tuple by its cheap Markov quantile bound and
         # refine only the k most promising with the conditional
         # Poisson-binomial + Binomial construction.
-        markov_uppers = []
-        for entry in seen:
-            rank_upper = entry.seen_term + unseen_count * entry.markov_tail(
-                expectation_bound
-            )
-            markov_uppers.append(
-                (_markov_quantile_upper(rank_upper, phi), entry)
-            )
-        markov_uppers.sort(key=lambda pair: pair[0])
-        candidates = markov_uppers[:k]
+        rank_uppers = scan.seen_terms[:n] + unseen_count * scan.markov_tails()
+        markov_caps = [
+            _markov_quantile_upper(float(upper), phi) for upper in rank_uppers
+        ]
+        candidates = sorted(range(n), key=markov_caps.__getitem__)[:k]
         if tight_bounds:
             uppers = [
                 _seen_quantile_upper(
-                    entry,
-                    seen,
+                    scan,
+                    row,
                     unseen_count,
                     expectation_bound,
                     phi,
-                    markov_cap,
-                    ties,
+                    markov_caps[row],
                 )
-                for markov_cap, entry in candidates
+                for row in candidates
             ]
         else:
-            uppers = [markov_cap for markov_cap, _ in candidates]
+            uppers = [markov_caps[row] for row in candidates]
         if max(uppers) < lower:
             halted_early = True
             break
 
-    count("a_mqrank_prune.tuples_accessed", len(seen))
+    count("a_mqrank_prune.tuples_accessed", scan.n)
     if halted_early:
         count("a_mqrank_prune.halted_early")
-    curtailed = relation.curtailed(entry.row.tid for entry in seen)
     return replace(
-        a_mqrank(curtailed, k, phi=phi, ties=ties),
+        a_mqrank(relation.curtailed(scan.seen_tids()), k, phi=phi, ties=ties),
         method=f"{_method_name(phi)}_prune",
         metadata={
-            "tuples_accessed": len(seen),
+            "tuples_accessed": scan.n,
             "halted_early": halted_early,
-            "exact": len(seen) == total,
+            "exact": scan.n == total,
             "phi": phi,
             "ties": ties,
         },

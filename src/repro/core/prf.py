@@ -63,9 +63,10 @@ def linear_weights(size: int) -> np.ndarray:
 
 
 def exponential_weights(size: int, alpha: float) -> np.ndarray:
-    """PRF^e weights ``w(i) = alpha ** i`` for ``alpha`` in ``(0, 1]``."""
-    if size < 1:
-        raise RankingError(f"size must be >= 1, got {size!r}")
+    """PRF^e weights ``w(i) = alpha ** i`` for ``alpha`` in ``(0, 1]``;
+    an empty relation gets an empty vector."""
+    if size < 0:
+        raise RankingError(f"size must be >= 0, got {size!r}")
     if not 0.0 < alpha <= 1.0:
         raise RankingError(f"alpha must be in (0, 1], got {alpha!r}")
     return alpha ** np.arange(size, dtype=float)

@@ -1,40 +1,61 @@
-"""Scalar reference forms of the tuple-level expected-rank kernels.
+"""Scalar reference forms of the expected-rank kernels and scans.
 
 The paper's algorithms written tuple by tuple; the columnar kernels of
-:mod:`repro.core.tuple_expected_rank` compute the same values:
+:mod:`repro.core.tuple_expected_rank` and the seen-prefix scan of
+:mod:`repro.core.attr_expected_rank` compute the same values:
 
 * :func:`tuple_expected_ranks` / :func:`t_erank` — Section 6.1,
   equation (8) evaluated per tuple over one score sort;
 * :func:`t_erank_prune` — Section 6.2, the early-stop scan with a
   k-heap of exact seen ranks and the ``q_n - 1`` unseen bound;
 * :func:`tuple_expected_ranks_quadratic` — equation (7) by pairwise
-  comparison, the ``O(N^2)`` comparison point of experiment E7.
+  comparison, the ``O(N^2)`` comparison point of experiment E7;
+* :func:`attribute_expected_ranks_quadratic` — equation (3) by
+  pairwise comparison, the BFS baseline of experiment E3;
+* :func:`a_erank_prune` / :func:`a_mqrank_prune` — the Section 5.2
+  scan and its quantile-rank twin, updating every seen tuple's
+  seen-beats sum pair by pair as each tuple arrives.
 
 No ranking path calls into this module: the registry, the planner and
-the serving tier run the columnar kernels only (``repro.core``
-re-exports the quadratic form for the experiments).  The tests use
-these forms as oracles — answers, ``tuples_accessed``,
-``halted_early`` and the prune trajectory must match exactly,
-statistics to ``1e-9`` — and the experiments use them as baselines.
+the serving tier run the production kernels only (``repro.core``
+re-exports the two quadratic forms for the experiments).  The tests
+use these forms as oracles — answers, ``tuples_accessed``,
+``halted_early`` and the prune trajectory must match exactly; the
+tuple-level statistics to ``1e-9``, the attribute-level scans' floats
+exactly — and the experiments use them as baselines.  The attribute
+scans answer with the production exact kernels on the curtailed
+database, as the production scans do.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Sequence
+from dataclasses import replace
+from typing import Iterator, Sequence
 
+import numpy as np
+
+from repro.core.attr_expected_rank import a_erank
+from repro.core.attr_mq_rank import _markov_quantile_upper, a_mqrank
+from repro.core.beats import beat_probability, value_beat_probability
+from repro.core.rank_distribution import _method_name
 from repro.core.result import RankedItem, TopKResult
-from repro.exceptions import RankingError
+from repro.exceptions import PruningBoundError, RankingError
+from repro.models.attribute import AttributeLevelRelation, AttributeTuple
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
 from repro.obs import get_registry, profiled
+from repro.stats.poisson_binomial import binomial_pmf, poisson_binomial_pmf
 
 __all__ = [
     "tuple_expected_ranks",
     "tuple_expected_ranks_quadratic",
     "t_erank",
     "t_erank_prune",
+    "attribute_expected_ranks_quadratic",
+    "a_erank_prune",
+    "a_mqrank_prune",
 ]
 
 
@@ -347,4 +368,338 @@ def t_erank_prune(
         winners,
         ranks_seen,
         metadata,
+    )
+
+
+# ----------------------------------------------------------------------
+# Attribute level: the BFS baseline and the Section 5.2 pruned scans
+# ----------------------------------------------------------------------
+@profiled("a_erank_bfs")
+def attribute_expected_ranks_quadratic(
+    relation: AttributeLevelRelation,
+    *,
+    ties: TieRule = "shared",
+) -> dict[str, float]:
+    """The paper's brute-force-search (BFS) baseline: direct evaluation
+    of equation (3), ``r(t_i) = sum_{j != i} Pr[X_j > X_i]``.
+
+    ``O(N^2)`` pairwise comparisons — the comparison point of the
+    scalability experiment (E3), kept deliberately naive.
+    """
+    _check_ties(ties)
+    ranks: dict[str, float] = {}
+    for position, row in enumerate(relation):
+        total = 0.0
+        for other_position, other in enumerate(relation):
+            if other_position == position:
+                continue
+            total += beat_probability(
+                other.score,
+                row.score,
+                challenger_is_earlier=other_position < position,
+                ties=ties,
+            )
+        ranks[row.tid] = total
+    return ranks
+
+
+class _SeenTuple:
+    """Per-tuple pruning state: seen-beats sum and Markov tail shape."""
+
+    __slots__ = ("row", "position", "seen_term")
+
+    def __init__(self, row: AttributeTuple, position: int) -> None:
+        self.row = row
+        self.position = position
+        # sum over seen j != i of Pr[X_j beats X_i]
+        self.seen_term = 0.0
+
+    def markov_tail(self, expectation_bound: float) -> float:
+        """``sum_l p_{i,l} min(1, E / v_{i,l})`` — clamped equation 5/6
+        term."""
+        tail = 0.0
+        for value, probability in self.row.score.items():
+            tail += probability * min(1.0, expectation_bound / value)
+        return tail
+
+
+def _check_positive(relation: AttributeLevelRelation) -> None:
+    for row in relation:
+        if row.score.min_value <= 0.0:
+            raise PruningBoundError(
+                f"tuple {row.tid!r} has score {row.score.min_value!r}; "
+                "the Markov bounds require strictly positive scores"
+            )
+
+
+def _scan_pairwise(
+    relation: AttributeLevelRelation,
+    ties: TieRule,
+) -> Iterator[list[_SeenTuple]]:
+    """Read tuples in decreasing expected-score order; after each
+    arrival yield the seen list with every pairwise seen-beats sum (the
+    first term of equation 5) brought up to date."""
+    seen: list[_SeenTuple] = []
+    for row in relation.order_by_expected_score():
+        arriving = _SeenTuple(row, relation.position_of(row.tid))
+        for other in seen:
+            other.seen_term += beat_probability(
+                arriving.row.score,
+                other.row.score,
+                challenger_is_earlier=arriving.position < other.position,
+                ties=ties,
+            )
+            arriving.seen_term += beat_probability(
+                other.row.score,
+                arriving.row.score,
+                challenger_is_earlier=other.position < arriving.position,
+                ties=ties,
+            )
+        seen.append(arriving)
+        yield seen
+
+
+def a_erank_prune(
+    relation: AttributeLevelRelation,
+    k: int,
+    *,
+    ties: TieRule = "shared",
+) -> TopKResult:
+    """Early-termination top-k by expected rank (A-ERank-Prune), one
+    tuple and one pair at a time.
+
+    Maintains the upper bounds ``r+(t_i)`` of every seen tuple
+    (equation 5) and the lower bound ``r-`` on all unseen tuples
+    (equation 6), and halts once ``k`` seen upper bounds fall below
+    ``r-``.  The answer is the exact A-ERank top-k of the curtailed
+    database of seen tuples.
+    """
+    if k < 0:
+        raise RankingError(f"k must be >= 0, got {k!r}")
+    _check_ties(ties)
+    if k == 0:
+        return TopKResult(
+            method="expected_rank_prune",
+            k=0,
+            items=(),
+            metadata={
+                "tuples_accessed": 0,
+                "halted_early": True,
+                "exact": False,
+                "ties": ties,
+            },
+        )
+    _check_positive(relation)
+    total = relation.size
+    seen: list[_SeenTuple] = []
+    halted_early = False
+    trajectory: list[dict] | None = (
+        [] if get_registry().enabled else None
+    )
+    stride = max(1, total // 64)
+
+    for seen in _scan_pairwise(relation, ties):
+        n = len(seen)
+        if n < k or n == total:
+            continue
+        expectation_bound = seen[-1].row.expected_score()
+        tails = [entry.markov_tail(expectation_bound) for entry in seen]
+        unseen_count = total - n
+        upper_bounds = [
+            entry.seen_term + unseen_count * tail
+            for entry, tail in zip(seen, tails)
+        ]
+        lower_bound = n - math.fsum(tails)
+        kth_upper = heapq.nsmallest(k, upper_bounds)[-1]
+        halting = kth_upper < lower_bound
+        if trajectory is not None and (
+            halting or n % stride == 0 or n == total
+        ):
+            trajectory.append(
+                {
+                    "accessed": n,
+                    "kth_rank": kth_upper,
+                    "unseen_bound": lower_bound,
+                }
+            )
+        if halting:
+            halted_early = True
+            break
+
+    curtailed = relation.curtailed(entry.row.tid for entry in seen)
+    metadata: dict[str, object] = {
+        "tuples_accessed": len(seen),
+        "halted_early": halted_early,
+        "exact": len(seen) == total,
+        "ties": ties,
+    }
+    if trajectory is not None:
+        metadata["prune_trajectory"] = tuple(trajectory)
+    return replace(
+        a_erank(curtailed, k, ties=ties),
+        method="expected_rank_prune",
+        metadata=metadata,
+    )
+
+
+def _unseen_quantile_lower(
+    seen_rows: list[AttributeTuple],
+    expectation_bound: float,
+    phi: float,
+) -> int:
+    """Best lower bound on any unseen tuple's phi-quantile rank, from
+    the seen tuples' Poisson binomial at a spread of thresholds."""
+    expected = sorted(
+        {row.expected_score() for row in seen_rows}, reverse=True
+    )
+    if not expected:
+        return 0
+    picks = {
+        expected[min(len(expected) - 1, int(f * len(expected)))]
+        for f in (0.0, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9)
+    }
+    best = 0
+    for threshold in picks:
+        if threshold <= 0.0:
+            continue
+        slack = min(1.0, expectation_bound / threshold)
+        if slack >= phi:
+            continue
+        params = [
+            row.score.pr_greater_equal(threshold) for row in seen_rows
+        ]
+        cdf = np.cumsum(poisson_binomial_pmf(params))
+        reachable = np.nonzero(slack + cdf >= phi - 1e-12)[0]
+        lower = int(reachable[0]) if reachable.size else len(params)
+        best = max(best, lower)
+    return best
+
+
+def _seen_quantile_upper(
+    candidate: _SeenTuple,
+    seen: list[_SeenTuple],
+    unseen_count: int,
+    expectation_bound: float,
+    phi: float,
+    markov_cap: int,
+    ties: TieRule,
+) -> int:
+    """Certified upper bound on one seen tuple's phi-quantile rank:
+    ``PB_seen(v) + Binomial(N - n, m(v))`` mixed over its pdf, capped
+    by the pure-Markov bound."""
+    components: list[tuple[float, np.ndarray]] = []
+    horizon = markov_cap + 1
+    for value, probability in candidate.row.score.items():
+        params = [
+            value_beat_probability(
+                other.row.score,
+                value,
+                challenger_is_earlier=other.position
+                < candidate.position,
+                ties=ties,
+            )
+            for other in seen
+            if other is not candidate
+        ]
+        seen_pmf = poisson_binomial_pmf(params)
+        tail_probability = min(1.0, expectation_bound / value)
+        unseen_pmf = binomial_pmf(unseen_count, tail_probability)
+        combined = np.convolve(seen_pmf, unseen_pmf)[:horizon]
+        components.append((probability, combined))
+    size = max(len(pmf) for _, pmf in components)
+    cdf_lower = np.zeros(size)
+    for probability, pmf in components:
+        cdf_lower[: len(pmf)] += probability * np.cumsum(pmf)
+        if len(pmf) < size:
+            cdf_lower[len(pmf):] += probability * float(
+                np.cumsum(pmf)[-1]
+            )
+    reachable = np.nonzero(cdf_lower >= phi - 1e-12)[0]
+    if reachable.size:
+        return min(int(reachable[0]), markov_cap)
+    return markov_cap
+
+
+def a_mqrank_prune(
+    relation: AttributeLevelRelation,
+    k: int,
+    *,
+    phi: float = 0.5,
+    ties: TieRule = "by_index",
+    check_every: int = 16,
+    tight_bounds: bool = True,
+) -> TopKResult:
+    """Early-termination quantile-rank top-k, one tuple and one pair
+    at a time (the design is documented on
+    :func:`repro.core.attr_mq_rank.a_mqrank_prune`)."""
+    if k < 0:
+        raise RankingError(f"k must be >= 0, got {k!r}")
+    if not 0.0 < phi < 1.0:
+        raise RankingError(
+            f"phi must be in (0, 1) for the pruned variant, got {phi!r}"
+        )
+    _check_ties(ties)
+    if check_every < 1:
+        raise RankingError(
+            f"check_every must be >= 1, got {check_every!r}"
+        )
+    _check_positive(relation)
+    total = relation.size
+    seen: list[_SeenTuple] = []
+    halted_early = False
+
+    for seen in _scan_pairwise(relation, ties):
+        n = len(seen)
+        if n < max(k, 1) or n == total or n % check_every:
+            continue
+        expectation_bound = seen[-1].row.expected_score()
+        unseen_count = total - n
+        lower = _unseen_quantile_lower(
+            [entry.row for entry in seen], expectation_bound, phi
+        )
+        if k == 0:
+            halted_early = True
+            break
+        if lower == 0:
+            continue
+        markov_uppers = []
+        for entry in seen:
+            rank_upper = entry.seen_term + unseen_count * entry.markov_tail(
+                expectation_bound
+            )
+            markov_uppers.append(
+                (_markov_quantile_upper(rank_upper, phi), entry)
+            )
+        markov_uppers.sort(key=lambda pair: pair[0])
+        candidates = markov_uppers[:k]
+        if tight_bounds:
+            uppers = [
+                _seen_quantile_upper(
+                    entry,
+                    seen,
+                    unseen_count,
+                    expectation_bound,
+                    phi,
+                    markov_cap,
+                    ties,
+                )
+                for markov_cap, entry in candidates
+            ]
+        else:
+            uppers = [markov_cap for markov_cap, _ in candidates]
+        if max(uppers) < lower:
+            halted_early = True
+            break
+
+    curtailed = relation.curtailed(entry.row.tid for entry in seen)
+    return replace(
+        a_mqrank(curtailed, k, phi=phi, ties=ties),
+        method=f"{_method_name(phi)}_prune",
+        metadata={
+            "tuples_accessed": len(seen),
+            "halted_early": halted_early,
+            "exact": len(seen) == total,
+            "phi": phi,
+            "ties": ties,
+        },
     )

@@ -51,6 +51,32 @@ class TestSingletonRelations:
         assert t_mqrank(relation, 1).statistics["x"] == 0.0
 
 
+EMPTY_RELATION_METHODS = {
+    "expected_rank": {},
+    "expected_rank_prune": {},
+    "median_rank": {},
+    "quantile_rank_prune": {},
+    "u_kranks": {},
+    "u_topk": {},
+    "global_topk": {},
+    "pt_k": {"threshold": 0.3},
+    "expected_score": {},
+    "prf_exponential": {"alpha": 0.9},
+}
+
+
+class TestEmptyRelations:
+    @pytest.mark.parametrize(
+        "relation",
+        [AttributeLevelRelation([]), TupleLevelRelation([])],
+        ids=["attribute", "tuple"],
+    )
+    @pytest.mark.parametrize("method", sorted(EMPTY_RELATION_METHODS))
+    def test_every_method_answers_empty(self, relation, method):
+        options = EMPTY_RELATION_METHODS[method]
+        assert rank(relation, 3, method=method, **options).tids() == ()
+
+
 class TestDegenerateProbabilities:
     def test_all_tuples_certain_reduces_to_sorting(self):
         relation = TupleLevelRelation(

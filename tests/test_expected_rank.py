@@ -8,7 +8,6 @@ from repro.baselines import brute_force_expected_ranks
 from repro.core import (
     a_erank,
     a_erank_prune,
-    a_erank_prune_lazy,
     attribute_expected_ranks,
     attribute_expected_ranks_quadratic,
     attribute_expected_ranks_vectorized,
@@ -246,53 +245,6 @@ class TestAErankPrune:
         # lower the count of better tuples.
         for item in pruned:
             assert item.statistic <= exact[item.tid] + 1e-9
-
-
-class TestAErankPruneLazy:
-    """The batched universe-based variant (paper Section 5.2's closing
-    optimisation) agrees with the incremental scan."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_exact_topk(self, seed):
-        relation = generate_attribute_relation(
-            300, pdf_size=4, seed=seed
-        )
-        exact = a_erank(relation, 10)
-        lazy = a_erank_prune_lazy(relation, 10)
-        assert lazy.tids() == exact.tids()
-
-    def test_access_overshoot_bounded(self):
-        relation = generate_attribute_relation(
-            800, pdf_size=4, score_distribution="zipf", seed=1
-        )
-        incremental = a_erank_prune(relation, 5)
-        lazy = a_erank_prune_lazy(relation, 5, check_every=16)
-        assert (
-            lazy.metadata["tuples_accessed"]
-            < incremental.metadata["tuples_accessed"] + 16
-        )
-        assert lazy.metadata["halted_early"]
-
-    def test_rejects_nonpositive_scores(self):
-        relation = AttributeLevelRelation(
-            [
-                AttributeTuple("a", DiscretePDF([0.0], [1.0])),
-                AttributeTuple("b", DiscretePDF.point(3)),
-            ]
-        )
-        with pytest.raises(PruningBoundError):
-            a_erank_prune_lazy(relation, 1)
-
-    def test_parameter_validation(self, fig2):
-        with pytest.raises(RankingError):
-            a_erank_prune_lazy(fig2, -1)
-        with pytest.raises(RankingError):
-            a_erank_prune_lazy(fig2, 1, check_every=0)
-
-    def test_k_zero(self, fig2):
-        result = a_erank_prune_lazy(fig2, 0)
-        assert len(result) == 0
-        assert result.metadata["tuples_accessed"] == 0
 
 
 class TestTupleExactAgainstOracle:

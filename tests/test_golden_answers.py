@@ -29,11 +29,7 @@ from repro.baselines.global_topk import global_topk
 from repro.baselines.probability_only import probability_only
 from repro.baselines.pt_k import pt_k, pt_k_scan
 from repro.bench.workloads import attribute_workload, tuple_workload
-from repro.core.attr_expected_rank import (
-    a_erank,
-    a_erank_prune,
-    a_erank_prune_lazy,
-)
+from repro.core.attr_expected_rank import a_erank, a_erank_prune
 from repro.core.attr_mq_rank import a_mqrank, a_mqrank_prune
 from repro.core.monte_carlo import mc_expected_rank
 from repro.core.prf import exponential_weights, prf_rank
@@ -109,12 +105,6 @@ METHODS = [
         {"attribute": a_erank_prune, "tuple": t_erank_prune},
         True,
         {},
-    ),
-    (
-        "erank_prune_lazy",
-        {"attribute": a_erank_prune_lazy},
-        False,
-        {"check_every": 4},
     ),
     ("median", {"attribute": a_mqrank, "tuple": t_mqrank}, True, {}),
     (

@@ -18,10 +18,17 @@ The access order is ``order_by_expected_score()`` for attribute-level
 relations and ``order_by_score()`` for tuple-level ones.  Each method
 must halt at least once over the seeded uniform and zipf relations, so
 no test here passes vacuously.
+
+On uniform and zipf data the expected-score order nearly agrees with
+the rank order, so a scan that halts on a wrong certificate can still
+land on the right prefix.  The "lottery" relations break that: a few
+tuples score very high with a small probability and very low
+otherwise, so they lead the access order while ranking last.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 import pytest
@@ -33,6 +40,7 @@ from repro.core.tuple_expected_rank import t_erank, t_erank_prune
 from repro.core.tuple_mq_rank import t_mqrank, t_mqrank_prune
 from repro.datagen.attribute_gen import generate_attribute_relation
 from repro.datagen.tuple_gen import generate_tuple_relation
+from repro.models import AttributeLevelRelation, AttributeTuple, DiscretePDF
 
 DISTRIBUTIONS = ("uniform", "zipf")
 SEEDS = (1, 2, 3)
@@ -48,6 +56,32 @@ def attribute_relation(distribution: str, seed: int):
     return generate_attribute_relation(
         ATTRIBUTE_N, score_distribution=distribution, seed=seed
     )
+
+
+LOTTERY_EVERY = 7
+
+
+@lru_cache(maxsize=None)
+def lottery_relation(seed: int):
+    """One tuple in ``LOTTERY_EVERY`` is a lottery ticket: about 1000
+    with probability 0.08, about 3 otherwise.  The rest hold steady
+    three-point pdfs between 19 and 63.  Tickets have the highest
+    expected scores and the worst expected and median ranks."""
+    rng = random.Random(seed)
+    rows = []
+    for index in range(ATTRIBUTE_N):
+        if index % LOTTERY_EVERY == 0:
+            pdf = DiscretePDF(
+                [rng.uniform(1.0, 5.0), rng.uniform(900.0, 1100.0)],
+                [0.92, 0.08],
+            )
+        else:
+            level = rng.uniform(20.0, 60.0)
+            pdf = DiscretePDF(
+                [level * 0.95, level, level * 1.05], [0.3, 0.4, 0.3]
+            )
+        rows.append(AttributeTuple(f"t{index}", pdf))
+    return AttributeLevelRelation(rows)
 
 
 #: ``generate_tuple_relation`` maps one seed's uniforms to either score
@@ -164,3 +198,41 @@ def test_pt_k_scan_halts_only_on_a_sound_certificate():
                         f"probability {best_unseen!r}"
                     )
     assert halts > 0, "pt_k_scan never halted early"
+
+
+@pytest.mark.parametrize(
+    "prune, exact, check_every",
+    [(a_mqrank_prune, a_mqrank, 16), (a_erank_prune, a_erank, 1)],
+    ids=["a_mqrank_prune", "a_erank_prune"],
+)
+def test_attribute_scan_certificate_where_orders_disagree(
+    prune, exact, check_every
+):
+    """A halt at the scan's first check would miss the whole answer
+    here, so only a sound certificate passes."""
+    halts = 0
+    for seed in SEEDS:
+        relation = lottery_relation(seed)
+        order = [row.tid for row in relation.order_by_expected_score()]
+        for ties in TIES:
+            for k in KS:
+                statistics = exact(relation, k, ties=ties).statistics
+                first_check = max(k, check_every)
+                assert min(statistics[tid] for tid in order[first_check:]) < (
+                    sorted(statistics[tid] for tid in order[:first_check])[
+                        k - 1
+                    ]
+                ), "the first check's prefix must not hold the answer"
+                pruned = prune(relation, k, ties=ties)
+                if not pruned.metadata["halted_early"]:
+                    continue
+                halts += 1
+                accessed = pruned.metadata["tuples_accessed"]
+                seen = sorted(statistics[tid] for tid in order[:accessed])
+                unseen = min(statistics[tid] for tid in order[accessed:])
+                assert seen[k - 1] <= unseen, (
+                    f"seed={seed} k={k} ties={ties}: halted after "
+                    f"{accessed} tuples, k-th seen statistic "
+                    f"{seen[k - 1]!r} is worse than unseen {unseen!r}"
+                )
+    assert halts > 0

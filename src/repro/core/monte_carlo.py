@@ -43,7 +43,10 @@ Relation = AttributeLevelRelation | TupleLevelRelation
 def _hoeffding_half_width(
     rank_bound: float, samples: int, delta: float, tuples: int
 ) -> float:
-    """Simultaneous CI half-width for all tuples' mean ranks."""
+    """Simultaneous CI half-width for all tuples' mean ranks (0 for
+    no tuples: the band is empty)."""
+    if tuples == 0:
+        return 0.0
     per_tuple_delta = delta / tuples
     return rank_bound * math.sqrt(
         math.log(2.0 / per_tuple_delta) / (2.0 * samples)

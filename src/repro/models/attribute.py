@@ -36,9 +36,14 @@ class AttributeTuple:
     attributes:
         Optional certain attributes carried along for presentation;
         they play no role in ranking.
+
+    A row is never changed after construction, so ``_json``, the row's
+    canonical JSON text, is filled by the first
+    :func:`~repro.obs.capture.relation_digest` that reads it and then
+    kept.
     """
 
-    __slots__ = ("tid", "score", "attributes")
+    __slots__ = ("tid", "score", "attributes", "_json")
 
     def __init__(
         self,
@@ -54,6 +59,7 @@ class AttributeTuple:
         self.tid = tid
         self.score = score
         self.attributes = dict(attributes) if attributes else {}
+        self._json: str | None = None
 
     def expected_score(self) -> float:
         """``E[X_i]`` — the sort key of A-ERank-Prune's access order."""

@@ -3,10 +3,13 @@
 A relation object never changes after construction (updates produce a
 new object, e.g. ``MaintainedTupleStore.snapshot()``), so anything
 derived from its contents can live on the object itself and die with
-it.  Two such things are expensive and read on every query:
+it.  Three such things are expensive and read on every query:
 
 * the content digest (capture records, coalescing keys, replay), a
-  canonical-JSON SHA-256 of the whole relation;
+  canonical-JSON SHA-256 of the whole relation; its text is joined
+  from per-row fragments that the rows keep, so a version that shares
+  rows with a digested one encodes only its new rows (about 8 ms for a
+  tuple N = 8000 store snapshot after a write, 2 vCPUs);
 * the flat-array image (``TupleColumns`` / ``AttributeColumns``) that
   the expected-rank and generating-function kernels run on;
 * the rank tables the generating-function sweeps build from those

@@ -13,7 +13,7 @@ world.  The paper — like the x-relations model of Trio — requires that
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from repro.exceptions import InvalidRuleError
 from repro.models.pdf import PROBABILITY_TOLERANCE
@@ -40,11 +40,21 @@ class ExclusionRule:
         self._tids: tuple[str, ...] = tuple(tids)
         if not self._tids:
             raise InvalidRuleError(f"rule {rule_id!r} has no members")
-        self._tid_set = frozenset(self._tids)
+        self._tid_set: Collection[str] = frozenset(self._tids)
         if len(self._tid_set) != len(self._tids):
             raise InvalidRuleError(
                 f"rule {rule_id!r} lists a tuple more than once"
             )
+
+    @classmethod
+    def singleton(cls, rule_id: str, tid: str) -> "ExclusionRule":
+        """A one-member rule, built without the member checks (a
+        single member is never missing or listed twice)."""
+        rule = cls.__new__(cls)
+        rule.rule_id = rule_id
+        # Membership in a one-member tuple is as cheap as in a set.
+        rule._tids = rule._tid_set = (tid,)
+        return rule
 
     @property
     def tids(self) -> tuple[str, ...]:
@@ -86,13 +96,11 @@ class ExclusionRule:
         Raises :class:`InvalidRuleError` when a member is missing or the
         total exceeds one beyond tolerance.
         """
-        total = 0.0
         for tid in self._tids:
             if tid not in probability_of:
                 raise InvalidRuleError(
                     f"rule {self.rule_id!r} references unknown tuple {tid!r}"
                 )
-            total += probability_of[tid]
         total = math.fsum(probability_of[tid] for tid in self._tids)
         if total > 1.0 + PROBABILITY_TOLERANCE:
             raise InvalidRuleError(
@@ -103,7 +111,7 @@ class ExclusionRule:
 
 def cover_with_singletons(
     rules: Sequence[ExclusionRule],
-    all_tids: Sequence[str],
+    all_tids: Collection[str],
     *,
     prefix: str = "__singleton_",
 ) -> list[ExclusionRule]:
@@ -113,13 +121,14 @@ def cover_with_singletons(
     in the paper ("we allow rules containing only one tuple and require
     that all tuples appear in exactly one of the rules").  Raises
     :class:`InvalidRuleError` if a tuple is claimed by two rules or a
-    rule references an unknown tuple.
+    rule references an unknown tuple.  ``all_tids`` is iterated in
+    tuple order and tested for membership as given, so pass a set or
+    a dict keyed by tid for large relations.
     """
     claimed: dict[str, str] = {}
-    known = set(all_tids)
     for rule in rules:
         for tid in rule:
-            if tid not in known:
+            if tid not in all_tids:
                 raise InvalidRuleError(
                     f"rule {rule.rule_id!r} references unknown tuple {tid!r}"
                 )
@@ -131,6 +140,7 @@ def cover_with_singletons(
             claimed[tid] = rule.rule_id
     completed = list(rules)
     existing_ids = {rule.rule_id for rule in rules}
+    singleton = ExclusionRule.singleton
     for tid in all_tids:
         if tid not in claimed:
             rule_id = f"{prefix}{tid}"
@@ -139,5 +149,5 @@ def cover_with_singletons(
                     f"generated singleton rule id {rule_id!r} collides "
                     "with an explicit rule"
                 )
-            completed.append(ExclusionRule(rule_id, [tid]))
+            completed.append(singleton(rule_id, tid))
     return completed

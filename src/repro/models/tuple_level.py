@@ -34,9 +34,14 @@ class TupleLevelTuple:
         Membership probability ``p(t)`` in ``[0, 1]``.
     attributes:
         Optional certain attributes, ignored by ranking.
+
+    A row is never changed after construction (a store update makes a
+    new row), so ``_json``, the row's canonical JSON text, is filled
+    by the first :func:`~repro.obs.capture.relation_digest` that reads
+    it and then kept.
     """
 
-    __slots__ = ("tid", "score", "probability", "attributes")
+    __slots__ = ("tid", "score", "probability", "attributes", "_json")
 
     def __init__(
         self,
@@ -55,6 +60,7 @@ class TupleLevelTuple:
         self.score = float(score)
         self.probability = min(float(probability), 1.0)
         self.attributes = dict(attributes) if attributes else {}
+        self._json: str | None = None
 
     def __repr__(self) -> str:
         return (
@@ -122,16 +128,20 @@ class TupleLevelRelation(VersionMemo):
         explicit = list(rules or [])
         self._explicit_rule_count = len(explicit)
         self._rules: list[ExclusionRule] = cover_with_singletons(
-            explicit, [row.tid for row in self._tuples]
+            explicit, self._index
         )
-        probability_of = {
-            row.tid: row.probability for row in self._tuples
+        self._rule_of: dict[str, ExclusionRule] = {
+            tid: rule for rule in self._rules for tid in rule.tids
         }
-        self._rule_of: dict[str, ExclusionRule] = {}
-        for rule in self._rules:
+        # A singleton's mass is its tuple's probability, which
+        # TupleLevelTuple has checked; only explicit rules can exceed 1.
+        probability_of = {
+            tid: self._tuples[self._index[tid]].probability
+            for rule in explicit
+            for tid in rule.tids
+        }
+        for rule in explicit:
             rule.validate_probabilities(probability_of)
-            for tid in rule:
-                self._rule_of[tid] = rule
         self._reset_memo()
 
     # ------------------------------------------------------------------

@@ -337,3 +337,16 @@ class TestGoldenCaptureReplay:
         assert not report.problems
         assert not report.regressions
         assert report.exit_code() == 0
+
+    def test_tuple_capture_replays_clean(self):
+        """A tuple-level capture: a change to the tuple digest would
+        show here as a dataset mismatch."""
+        from repro.cli import load_relation
+        from repro.obs.replay import replay_capture
+
+        relation = load_relation(EXAMPLES / "tuple_readings.csv")
+        report = replay_capture(EXAMPLES / "tuple_capture.jsonl", relation)
+        assert not report.problems
+        assert not report.regressions
+        assert report.exit_code() == 0
+        assert report.counts() == {"ok": 8}

@@ -62,6 +62,7 @@ EMPTY_RELATION_METHODS = {
     "pt_k": {"threshold": 0.3},
     "expected_score": {},
     "prf_exponential": {"alpha": 0.9},
+    "monte_carlo": {},
 }
 
 

@@ -1068,7 +1068,7 @@ def _command_describe(args) -> int:
         print(f"tuples: {relation.size}")
         print(f"rules: {relation.rule_count}")
         multi = sum(
-            1 for rule in relation.rules if not rule.is_singleton
+            1 for rule in relation.explicit_rules if not rule.is_singleton
         )
         print(f"multi-tuple rules: {multi}")
         print(

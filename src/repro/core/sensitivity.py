@@ -97,7 +97,7 @@ def perturb_relation(
             )
         # Re-normalise overflowing rules.
         by_tid = {row.tid: row for row in rows}
-        for rule in relation.rules:
+        for rule in relation.explicit_rules:
             if rule.is_singleton:
                 continue
             mass = sum(by_tid[tid].probability for tid in rule)
@@ -112,7 +112,7 @@ def perturb_relation(
                         row.attributes,
                     )
         explicit = [
-            rule for rule in relation.rules if not rule.is_singleton
+            rule for rule in relation.explicit_rules if not rule.is_singleton
         ]
         return TupleLevelRelation(
             [by_tid[row.tid] for row in rows], rules=explicit

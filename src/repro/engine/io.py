@@ -412,11 +412,20 @@ def save_tuple_csv(relation: TupleLevelRelation, path: Path | str) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["tid", "score", "probability", "rule"])
+        label_of = {
+            tid: rule.rule_id
+            for rule in relation.explicit_rules
+            if not rule.is_singleton
+            for tid in rule
+        }
         for row in relation:
-            rule = relation.rule_of(row.tid)
-            label = "" if rule.is_singleton else rule.rule_id
             writer.writerow(
-                [row.tid, repr(row.score), repr(row.probability), label]
+                [
+                    row.tid,
+                    repr(row.score),
+                    repr(row.probability),
+                    label_of.get(row.tid, ""),
+                ]
             )
 
 
@@ -455,7 +464,7 @@ def relation_document(
             ],
             "rules": [
                 {"rule_id": rule.rule_id, "tids": list(rule.tids)}
-                for rule in relation.rules
+                for rule in relation.explicit_rules
                 if not rule.is_singleton
             ],
         }

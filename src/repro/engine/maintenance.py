@@ -13,13 +13,20 @@ contract: an updatable tuple-level relation that keeps
 and materialises an immutable :class:`TupleLevelRelation` snapshot on
 demand for querying.  Rule membership is declared at insert time; a
 rule's remaining members keep their semantics when one is deleted.
+
+A snapshot's Python work is proportional to the change since the last
+one: rows are kept in a dict in insertion order (an update keeps the
+row's place), so a snapshot is one ``O(N)`` pointer copy of the rows;
+each multi-member rule keeps its immutable :class:`ExclusionRule`,
+shared by every version, and only rules whose membership changed are
+rebuilt.  The relation builds no implied singleton rules up front.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, cast
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.result import TopKResult
@@ -52,6 +59,14 @@ class MaintainedTupleStore:
         self._rule_of: dict[str, str] = {}
         self._rule_members: dict[str, list[str]] = {}
         self._rule_mass: dict[str, float] = {}
+        # Insertion counter at which each rule was created; rules are
+        # ordered by it, as ``_rule_members`` is.
+        self._rule_born: dict[str, int] = {}
+        # Multi-member rules in ``_rule_members`` order, each with its
+        # rule object, or None when its membership changed since the
+        # object was built.
+        self._multi: dict[str, ExclusionRule | None] = {}
+        self._multi_ordered = True
         self._expected_world_size = 0.0
         # Sorted (negative score, insertion counter, tid) keys so the
         # score-descending order is maintained under updates.
@@ -88,7 +103,12 @@ class MaintainedTupleStore:
             )
         self._rows[tid] = row
         self._rule_of[tid] = rule_id
-        self._rule_members.setdefault(rule_id, []).append(tid)
+        members = self._rule_members.get(rule_id)
+        if members is None:
+            members = self._rule_members[rule_id] = []
+            self._rule_born[rule_id] = self._counter
+        members.append(tid)
+        self._membership_changed(rule_id, members)
         self._rule_mass[rule_id] = new_mass
         self._expected_world_size += row.probability
         key = (-row.score, self._counter, tid)
@@ -124,7 +144,11 @@ class MaintainedTupleStore:
         self.version += 1
 
     def update_score(self, tid: str, score: float) -> None:
-        """Change a score; the sorted order is repaired by re-keying."""
+        """Change a score; the sorted order is repaired by re-keying.
+
+        The tuple keeps its insertion counter, so its place in the
+        tie-break order (and in a snapshot) does not move.
+        """
         row = self._require(tid)
         updated = TupleLevelTuple(
             tid, score, row.probability, row.attributes
@@ -132,8 +156,7 @@ class MaintainedTupleStore:
         old_key = self._key_of.pop(tid)
         index = bisect.bisect_left(self._sorted_keys, old_key)
         del self._sorted_keys[index]
-        key = (-score, self._counter, tid)
-        self._counter += 1
+        key = (-score, old_key[1], tid)
         bisect.insort(self._sorted_keys, key)
         self._key_of[tid] = key
         self._rows[tid] = updated
@@ -143,15 +166,36 @@ class MaintainedTupleStore:
         row = self._require(tid)
         del self._rows[tid]
         rule_id = self._rule_of.pop(tid)
-        self._rule_members[rule_id].remove(tid)
+        members = self._rule_members[rule_id]
+        members.remove(tid)
+        self._membership_changed(rule_id, members)
         self._rule_mass[rule_id] -= row.probability
-        if not self._rule_members[rule_id]:
+        if not members:
             del self._rule_members[rule_id]
             del self._rule_mass[rule_id]
+            del self._rule_born[rule_id]
         key = self._key_of.pop(tid)
         index = bisect.bisect_left(self._sorted_keys, key)
         del self._sorted_keys[index]
         return row
+
+    def _membership_changed(self, rule_id: str, members: list[str]) -> None:
+        """Drop ``rule_id``'s rule object; keep ``_multi`` in step.
+
+        A rule that falls to one member leaves ``_multi`` (its tuple
+        becomes an implied singleton); one that reaches two joins it,
+        and ``_multi`` is re-sorted at the next snapshot unless the
+        rule was created after every rule already there.
+        """
+        multi = self._multi
+        if len(members) < 2:
+            multi.pop(rule_id, None)
+            return
+        if rule_id not in multi and multi:
+            last = next(reversed(multi))
+            if self._rule_born[last] > self._rule_born[rule_id]:
+                self._multi_ordered = False
+        multi[rule_id] = None
 
     def _require(self, tid: str) -> TupleLevelTuple:
         try:
@@ -179,21 +223,30 @@ class MaintainedTupleStore:
     def snapshot(self) -> TupleLevelRelation:
         """An immutable relation reflecting the current contents.
 
-        Tuples are emitted in insertion order; multi-member rules are
-        carried over.  Cost is ``O(N)``.
+        Tuples are emitted in insertion order (an update keeps the
+        tuple's place); multi-member rules are carried over in the
+        order they were created.  Cost: one ``O(N)`` pointer copy of
+        the rows plus the relation's tid index, a new rule object for
+        each rule whose membership changed since the last snapshot,
+        and ``O(members)`` rule checks; no sort and no implied
+        singleton rules.
         """
         if not self._rows:
             raise EngineError("cannot snapshot an empty store")
-        ordered = sorted(
-            self._rows.values(),
-            key=lambda row: self._key_of[row.tid][1],
-        )
-        rules = [
-            ExclusionRule(rule_id, list(members))
-            for rule_id, members in self._rule_members.items()
-            if len(members) > 1
-        ]
-        return TupleLevelRelation(ordered, rules=rules)
+        multi = self._multi
+        if not self._multi_ordered:
+            born = self._rule_born
+            self._multi = multi = dict(
+                sorted(multi.items(), key=lambda item: born[item[0]])
+            )
+            self._multi_ordered = True
+        members = self._rule_members
+        stale = [rule_id for rule_id, rule in multi.items() if rule is None]
+        for rule_id in stale:
+            multi[rule_id] = ExclusionRule(rule_id, members[rule_id])
+        # Every value is a rule object again.
+        rules = cast("tuple[ExclusionRule, ...]", tuple(multi.values()))
+        return TupleLevelRelation(list(self._rows.values()), rules=rules)
 
     def topk(
         self, k: int, method: str = "expected_rank", **options
@@ -212,13 +265,18 @@ class MaintainedTupleStore:
     ) -> "MaintainedTupleStore":
         """Seed a store from an immutable relation."""
         store = cls()
+        rule_of = {
+            tid: rule.rule_id
+            for rule in relation.explicit_rules
+            if not rule.is_singleton
+            for tid in rule
+        }
         for row in relation:
-            rule = relation.rule_of(row.tid)
             store.insert(
                 row.tid,
                 score=row.score,
                 probability=row.probability,
-                rule=None if rule.is_singleton else rule.rule_id,
+                rule=rule_of.get(row.tid),
             )
         return store
 
@@ -247,6 +305,24 @@ class MaintainedTupleStore:
             )
         if sorted(self._key_of.values()) != self._sorted_keys:
             raise EngineError("sorted key index out of sync")
+        counters = [self._key_of[tid][1] for tid in self._rows]
+        if any(a >= b for a, b in zip(counters, counters[1:])):
+            raise EngineError("rows out of insertion order")
+        multi = [
+            rule_id
+            for rule_id, members in self._rule_members.items()
+            if len(members) > 1
+        ]
+        born = self._rule_born
+        cached = list(self._multi)
+        if not self._multi_ordered:
+            cached.sort(key=born.__getitem__)
+        if cached != multi:
+            raise EngineError("multi-member rule cache out of sync")
+        for rule_id, rule in self._multi.items():
+            members = tuple(self._rule_members[rule_id])
+            if rule is not None and rule.tids != members:
+                raise EngineError(f"cached rule {rule_id!r} has stale members")
         for rule_id, members in self._rule_members.items():
             mass = math.fsum(
                 self._rows[tid].probability for tid in members

@@ -167,7 +167,7 @@ def _restrict_rules(
 ) -> list[ExclusionRule]:
     """Multi-member rules restricted to surviving tuples."""
     rules = []
-    for rule in relation.rules:
+    for rule in relation.explicit_rules:
         members = [tid for tid in rule if tid in kept]
         if len(members) > 1:
             rules.append(ExclusionRule(rule.rule_id, members))

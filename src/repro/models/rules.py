@@ -96,12 +96,13 @@ class ExclusionRule:
         Raises :class:`InvalidRuleError` when a member is missing or the
         total exceeds one beyond tolerance.
         """
-        for tid in self._tids:
-            if tid not in probability_of:
-                raise InvalidRuleError(
-                    f"rule {self.rule_id!r} references unknown tuple {tid!r}"
-                )
-        total = math.fsum(probability_of[tid] for tid in self._tids)
+        try:
+            total = math.fsum(map(probability_of.__getitem__, self._tids))
+        except KeyError as missing:
+            raise InvalidRuleError(
+                f"rule {self.rule_id!r} references unknown tuple "
+                f"{missing.args[0]!r}"
+            ) from None
         if total > 1.0 + PROBABILITY_TOLERANCE:
             raise InvalidRuleError(
                 f"rule {self.rule_id!r} has total probability {total!r} > 1"
@@ -109,23 +110,20 @@ class ExclusionRule:
         return min(total, 1.0)
 
 
-def cover_with_singletons(
-    rules: Sequence[ExclusionRule],
-    all_tids: Collection[str],
-    *,
-    prefix: str = "__singleton_",
-) -> list[ExclusionRule]:
-    """Complete a rule set so every tuple appears in exactly one rule.
+#: Id prefix of the implied singleton rules: ``__singleton_<tid>``.
+SINGLETON_PREFIX = "__singleton_"
 
-    Tuples not mentioned by any rule get an implied singleton rule, as
-    in the paper ("we allow rules containing only one tuple and require
-    that all tuples appear in exactly one of the rules").  Raises
-    :class:`InvalidRuleError` if a tuple is claimed by two rules or a
-    rule references an unknown tuple.  ``all_tids`` is iterated in
-    tuple order and tested for membership as given, so pass a set or
-    a dict keyed by tid for large relations.
+
+def claim_members(
+    rules: Sequence[ExclusionRule], all_tids: Collection[str]
+) -> dict[str, ExclusionRule]:
+    """Map every tuple the ``rules`` name to its rule.
+
+    Raises :class:`InvalidRuleError` at the first member, in rule
+    order, that is not in ``all_tids`` or that an earlier rule already
+    claimed.  Costs ``O(members)``.
     """
-    claimed: dict[str, str] = {}
+    claimed: dict[str, ExclusionRule] = {}
     for rule in rules:
         for tid in rule:
             if tid not in all_tids:
@@ -135,19 +133,65 @@ def cover_with_singletons(
             if tid in claimed:
                 raise InvalidRuleError(
                     f"tuple {tid!r} appears in rules "
-                    f"{claimed[tid]!r} and {rule.rule_id!r}"
+                    f"{claimed[tid].rule_id!r} and {rule.rule_id!r}"
                 )
-            claimed[tid] = rule.rule_id
-    completed = list(rules)
-    existing_ids = {rule.rule_id for rule in rules}
-    singleton = ExclusionRule.singleton
+            claimed[tid] = rule
+    return claimed
+
+
+def check_singleton_ids(
+    rules: Sequence[ExclusionRule],
+    all_tids: Collection[str],
+    claimed: Collection[str],
+    *,
+    prefix: str = SINGLETON_PREFIX,
+) -> None:
+    """Raise when an unclaimed tuple's implied singleton id is taken.
+
+    Only rule ids that start with ``prefix`` can collide, so the usual
+    rule set costs ``O(rules)``; when one does, ``all_tids`` is walked
+    in tuple order and the first colliding tuple is named.
+    """
+    taken = {
+        rule.rule_id
+        for rule in rules
+        if isinstance(rule.rule_id, str) and rule.rule_id.startswith(prefix)
+    }
+    if not taken:
+        return
     for tid in all_tids:
-        if tid not in claimed:
-            rule_id = f"{prefix}{tid}"
-            if rule_id in existing_ids:
-                raise InvalidRuleError(
-                    f"generated singleton rule id {rule_id!r} collides "
-                    "with an explicit rule"
-                )
-            completed.append(singleton(rule_id, tid))
+        rule_id = f"{prefix}{tid}"
+        if rule_id in taken and tid not in claimed:
+            raise InvalidRuleError(
+                f"generated singleton rule id {rule_id!r} collides "
+                "with an explicit rule"
+            )
+
+
+def cover_with_singletons(
+    rules: Sequence[ExclusionRule],
+    all_tids: Collection[str],
+    *,
+    prefix: str = SINGLETON_PREFIX,
+) -> list[ExclusionRule]:
+    """Complete a rule set so every tuple appears in exactly one rule.
+
+    Tuples not mentioned by any rule get an implied singleton rule, as
+    in the paper ("we allow rules containing only one tuple and require
+    that all tuples appear in exactly one of the rules").  Raises
+    :class:`InvalidRuleError` if a tuple is claimed by two rules, a
+    rule references an unknown tuple or an implied singleton's id is
+    taken.  ``all_tids`` is iterated in tuple order and tested for
+    membership as given, so pass a set or a dict keyed by tid for
+    large relations.
+    """
+    claimed = claim_members(rules, all_tids)
+    check_singleton_ids(rules, all_tids, claimed, prefix=prefix)
+    singleton = ExclusionRule.singleton
+    completed = list(rules)
+    completed.extend(
+        singleton(f"{prefix}{tid}", tid)
+        for tid in all_tids
+        if tid not in claimed
+    )
     return completed

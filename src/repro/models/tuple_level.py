@@ -11,12 +11,20 @@ ranking work the paper compares against.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import ModelError
 from repro.models.memo import VersionMemo
 from repro.models.pdf import PROBABILITY_TOLERANCE
-from repro.models.rules import ExclusionRule, cover_with_singletons
+from repro.models.rules import (
+    SINGLETON_PREFIX,
+    ExclusionRule,
+    check_singleton_ids,
+    claim_members,
+    cover_with_singletons,
+)
 
 __all__ = ["TupleLevelTuple", "TupleLevelRelation"]
 
@@ -81,14 +89,41 @@ class TupleLevelTuple:
         return hash((self.tid, self.score, self.probability))
 
 
+def _index_rows(rows: list[TupleLevelTuple]) -> dict[str, int]:
+    """Map each row's tid to its position.
+
+    Raises :class:`ModelError` at the first row, in order, that is not a
+    :class:`TupleLevelTuple` or repeats an earlier tid.  The clean case
+    runs at C speed; a bad input is walked row by row to name the fault.
+    """
+    if all(map(isinstance, rows, repeat(TupleLevelTuple))):
+        index = dict(zip(map(attrgetter("tid"), rows), range(len(rows))))
+        if len(index) == len(rows):
+            return index
+    index = {}
+    for position, row in enumerate(rows):
+        if not isinstance(row, TupleLevelTuple):
+            raise ModelError(
+                f"expected TupleLevelTuple, got {type(row).__name__}"
+            )
+        if row.tid in index:
+            raise ModelError(f"duplicate tuple id {row.tid!r}")
+        index[row.tid] = position
+    return index
+
+
 class TupleLevelRelation(VersionMemo):
     """An x-relation: tuples with membership probabilities plus rules.
 
     Tuples keep insertion order, which doubles as the tie-breaking
     order for equal scores.  Rules not covering every tuple are
-    completed with implied singleton rules.  The relation is immutable;
-    its digest and :class:`~repro.core.columnar.TupleColumns` are built
-    on first use and kept (:mod:`repro.models.memo`).
+    completed with implied singleton rules, made on demand: building a
+    relation indexes its tids and checks only the explicit rules, in
+    ``O(explicit members)``; :meth:`rule_of` makes an unclaimed tuple's
+    singleton on its first lookup and :attr:`rules` lists them all on
+    first read.  The relation is immutable; its digest and
+    :class:`~repro.core.columnar.TupleColumns` are built on first use
+    and kept (:mod:`repro.models.memo`).
 
     Examples
     --------
@@ -115,33 +150,22 @@ class TupleLevelRelation(VersionMemo):
         rules: Sequence[ExclusionRule] | None = None,
     ) -> None:
         self._tuples: list[TupleLevelTuple] = list(tuples)
-        self._index: dict[str, int] = {}
-        for position, row in enumerate(self._tuples):
-            if not isinstance(row, TupleLevelTuple):
-                raise ModelError(
-                    f"expected TupleLevelTuple, got {type(row).__name__}"
-                )
-            if row.tid in self._index:
-                raise ModelError(f"duplicate tuple id {row.tid!r}")
-            self._index[row.tid] = position
-
-        explicit = list(rules or [])
-        self._explicit_rule_count = len(explicit)
-        self._rules: list[ExclusionRule] = cover_with_singletons(
-            explicit, self._index
-        )
-        self._rule_of: dict[str, ExclusionRule] = {
-            tid: rule for rule in self._rules for tid in rule.tids
-        }
+        self._index: dict[str, int] = _index_rows(self._tuples)
+        # Only explicit rules are checked and kept; an unclaimed tuple's
+        # implied singleton is built when asked for (rule_of, rules).
+        self._explicit: tuple[ExclusionRule, ...] = tuple(rules or ())
+        claimed = claim_members(self._explicit, self._index)
+        check_singleton_ids(self._explicit, self._index, claimed)
         # A singleton's mass is its tuple's probability, which
         # TupleLevelTuple has checked; only explicit rules can exceed 1.
-        probability_of = {
-            tid: self._tuples[self._index[tid]].probability
-            for rule in explicit
-            for tid in rule.tids
-        }
-        for rule in explicit:
+        rows, index = self._tuples, self._index
+        probability_of = {tid: rows[index[tid]].probability for tid in claimed}
+        for rule in self._explicit:
             rule.validate_probabilities(probability_of)
+        self._claimed_count = len(claimed)
+        # rule_of adds each implied singleton it makes.
+        self._rule_of = claimed
+        self._rules: tuple[ExclusionRule, ...] | None = None
         self._reset_memo()
 
     # ------------------------------------------------------------------
@@ -159,18 +183,28 @@ class TupleLevelRelation(VersionMemo):
 
     @property
     def rules(self) -> Sequence[ExclusionRule]:
-        """All rules, explicit first, implied singletons after."""
-        return tuple(self._rules)
+        """All rules, explicit first, implied singletons after.
+
+        Built on first read (``O(N)``) and kept; readers that want only
+        the multi-member rules read :attr:`explicit_rules` instead.
+        """
+        rules = self._rules
+        # Racing first readers may each build it; the tuples are equal.
+        if rules is None:
+            rules = self._rules = tuple(
+                cover_with_singletons(self._explicit, self._index)
+            )
+        return rules
 
     @property
     def explicit_rules(self) -> Sequence[ExclusionRule]:
         """The rules given at construction (a prefix of :attr:`rules`)."""
-        return tuple(self._rules[: self._explicit_rule_count])
+        return self._explicit
 
     @property
     def rule_count(self) -> int:
         """``M``, the number of rules (singletons included)."""
-        return len(self._rules)
+        return len(self._explicit) + len(self._index) - self._claimed_count
 
     def __len__(self) -> int:
         return len(self._tuples)
@@ -203,11 +237,20 @@ class TupleLevelRelation(VersionMemo):
         return tuple(row.tid for row in self._tuples)
 
     def rule_of(self, tid: str) -> ExclusionRule:
-        """The unique rule containing ``tid``."""
+        """The unique rule containing ``tid``.
+
+        An unclaimed tuple's implied singleton is made on its first
+        lookup and kept; it equals the one in :attr:`rules`.
+        """
         try:
             return self._rule_of[tid]
         except KeyError:
-            raise ModelError(f"no tuple with id {tid!r}") from None
+            if tid not in self._index:
+                raise ModelError(f"no tuple with id {tid!r}") from None
+        rule = self._rule_of[tid] = ExclusionRule.singleton(
+            f"{SINGLETON_PREFIX}{tid}", tid
+        )
+        return rule
 
     def exclusive_with(self, tid_a: str, tid_b: str) -> bool:
         """True when two distinct tuples share an exclusion rule.
@@ -263,7 +306,7 @@ class TupleLevelRelation(VersionMemo):
         within-world ranking order).
         """
         appearing: list[TupleLevelTuple] = []
-        for rule in self._rules:
+        for rule in self.rules:
             point = rng.random()
             running = 0.0
             for tid in rule:

@@ -144,7 +144,7 @@ def _tuple_findings(relation: TupleLevelRelation) -> Iterator[Finding]:
             _truncate(dead),
         )
     saturated = []
-    for rule in relation.rules:
+    for rule in relation.explicit_rules:
         if rule.is_singleton:
             continue
         mass = sum(

@@ -7,8 +7,11 @@ import random
 import pytest
 
 from repro.core import t_erank, tuple_expected_ranks
+from repro.datagen.tuple_gen import generate_tuple_relation
 from repro.engine import MaintainedTupleStore
 from repro.exceptions import EngineError, InvalidRuleError
+from repro.models import ExclusionRule
+from tests.test_relation_memo import _random_writes
 
 
 @pytest.fixture
@@ -57,6 +60,16 @@ class TestUpdates:
         assert store.score_order() == ["a", "d", "b", "c"]
         store.validate()
 
+    def test_score_update_keeps_tie_break_place(self):
+        store = MaintainedTupleStore()
+        store.insert("a", score=5.0, probability=1.0)
+        store.insert("b", score=5.0, probability=1.0)
+        store.update_score("a", 5.0)
+        assert store.topk(1).tids() == ("a",)
+        assert store.score_order() == ["a", "b"]
+        assert store.snapshot().tids() == ("a", "b")
+        store.validate()
+
     def test_membership(self, store):
         assert "a" in store
         assert "zzz" not in store
@@ -87,6 +100,40 @@ class TestSnapshots:
         )
         assert rebuilt.snapshot().tids() == relation.tids()
 
+    def test_rules_follow_membership_changes(self, store):
+        first = store.snapshot()
+        assert [rule.rule_id for rule in first.explicit_rules] == ["pair"]
+        # Untouched rules are shared by the next version.
+        store.insert("e", score=3.0, probability=0.2, rule="solo")
+        second = store.snapshot()
+        assert second.explicit_rules[0] is first.explicit_rules[0]
+        assert second.rule_of("e").is_singleton
+        # A rule that reaches two members joins, in creation order.
+        store.insert("f", score=2.0, probability=0.2, rule="solo")
+        store.validate()
+        third = store.snapshot()
+        members = [(rule.rule_id, rule.tids) for rule in third.explicit_rules]
+        assert members == [("pair", ("c", "d")), ("solo", ("e", "f"))]
+        # One that falls to one member becomes an implied singleton.
+        store.delete("c")
+        fourth = store.snapshot()
+        assert [rule.rule_id for rule in fourth.explicit_rules] == ["solo"]
+        assert fourth.rule_of("d").rule_id == "__singleton_d"
+        assert fourth.rule_count == 4
+        store.validate()
+
+    def test_rule_promoted_out_of_creation_order(self):
+        store = MaintainedTupleStore()
+        store.insert("a", score=1.0, probability=0.3, rule="early")
+        store.insert("b", score=2.0, probability=0.3, rule="late")
+        store.insert("c", score=3.0, probability=0.3, rule="late")
+        store.snapshot()
+        store.insert("d", score=4.0, probability=0.3, rule="early")
+        store.validate()
+        explicit = store.snapshot().explicit_rules
+        assert [rule.rule_id for rule in explicit] == ["early", "late"]
+        store.validate()
+
     def test_bulk_insert(self):
         s = MaintainedTupleStore()
         s.bulk_insert(
@@ -94,6 +141,44 @@ class TestSnapshots:
         )
         assert len(s) == 10
         assert s.expected_world_size() == pytest.approx(5.0)
+
+
+class TestSnapshotCost:
+    def test_snapshot_builds_only_changed_rules(self, monkeypatch):
+        """A snapshot after r writes builds no implied singleton rule
+        and at most r rule objects, digest and columns included."""
+        store = MaintainedTupleStore.from_relation(
+            generate_tuple_relation(
+                2000, rule_fraction=0.3, rule_size=2, seed=29
+            )
+        )
+        store.snapshot()
+        built = {"rules": 0, "singletons": 0}
+        real_init = ExclusionRule.__init__
+        real_singleton = ExclusionRule.singleton
+
+        def counting_init(rule, rule_id, tids):
+            built["rules"] += 1
+            real_init(rule, rule_id, tids)
+
+        def counting_singleton(cls, rule_id, tid):
+            built["singletons"] += 1
+            return real_singleton(rule_id, tid)
+
+        monkeypatch.setattr(ExclusionRule, "__init__", counting_init)
+        monkeypatch.setattr(
+            ExclusionRule, "singleton", classmethod(counting_singleton)
+        )
+        rng = random.Random(29)
+        for writes in (1, 4, 16):
+            built.update(rules=0, singletons=0)
+            done = sum(1 for _ in _random_writes(store, rng, writes))
+            snapshot = store.snapshot()
+            snapshot.digest()
+            snapshot.columns()
+            assert built["singletons"] == 0
+            assert built["rules"] <= done
+        assert len(snapshot.explicit_rules) > 100
 
 
 class TestRandomisedWorkload:

@@ -18,6 +18,129 @@ from repro.models import (
 from repro.models.rules import cover_with_singletons
 
 
+def _rows(*spec):
+    return [
+        TupleLevelTuple(tid, 10.0 - position, probability)
+        for position, (tid, probability) in enumerate(spec)
+    ]
+
+
+_ABCD = _rows(("a", 0.3), ("b", 0.3), ("c", 0.3), ("d", 0.3))
+_HEAVY = _rows(("a", 0.6), ("b", 0.6), ("c", 0.1), ("d", 0.1))
+_NUMBERED = [
+    TupleLevelTuple(5, 2.0, 0.5),  # type: ignore[arg-type]
+    TupleLevelTuple("x", 1.0, 0.2),
+    TupleLevelTuple("y", 0.5, 0.2),
+]
+_R = ExclusionRule
+
+#: name -> (rows, rules, error type, message), as the relation raised
+#: them when it built every implied singleton up front.  Where an input
+#: holds two faults, the first in row order, then rule order, is named.
+CONSTRUCTION_ERRORS = {
+    "row_type": (
+        _ABCD[:2] + ["x"],
+        [],
+        ModelError,
+        "expected TupleLevelTuple, got str",
+    ),
+    "row_type_none": (
+        _ABCD[:1] + [None] + _ABCD[1:],
+        [],
+        ModelError,
+        "expected TupleLevelTuple, got NoneType",
+    ),
+    "row_type_attribute_tuple": (
+        _ABCD[:1] + [AttributeTuple("z", DiscretePDF.point(1.0))],
+        [],
+        ModelError,
+        "expected TupleLevelTuple, got AttributeTuple",
+    ),
+    "duplicate_tid": (
+        _ABCD[:2] + _ABCD[:1],
+        [],
+        ModelError,
+        "duplicate tuple id 'a'",
+    ),
+    "duplicate_before_row_type": (
+        _ABCD[:2] + _ABCD[:1] + ["x"],
+        [],
+        ModelError,
+        "duplicate tuple id 'a'",
+    ),
+    "row_type_before_duplicate": (
+        _ABCD[:2] + ["x"] + _ABCD[:1],
+        [],
+        ModelError,
+        "expected TupleLevelTuple, got str",
+    ),
+    "unknown_member": (
+        _ABCD,
+        [_R("r", ["a", "zz"])],
+        InvalidRuleError,
+        "rule 'r' references unknown tuple 'zz'",
+    ),
+    "unknown_member_in_later_rule": (
+        _ABCD,
+        [_R("r1", ["a"]), _R("r2", ["zz", "a"])],
+        InvalidRuleError,
+        "rule 'r2' references unknown tuple 'zz'",
+    ),
+    "tuple_in_two_rules": (
+        _ABCD,
+        [_R("r1", ["a", "b"]), _R("r2", ["b", "c"])],
+        InvalidRuleError,
+        "tuple 'b' appears in rules 'r1' and 'r2'",
+    ),
+    "two_rules_before_unknown": (
+        _ABCD,
+        [_R("r1", ["a", "b"]), _R("r2", ["b", "zz"])],
+        InvalidRuleError,
+        "tuple 'b' appears in rules 'r1' and 'r2'",
+    ),
+    "singleton_id_collision": (
+        _ABCD,
+        [_R("__singleton_c", ["a", "b"])],
+        InvalidRuleError,
+        "generated singleton rule id '__singleton_c' collides with an "
+        "explicit rule",
+    ),
+    "first_collision_in_tuple_order": (
+        _ABCD,
+        [_R("__singleton_d", ["a"]), _R("__singleton_b", ["c"])],
+        InvalidRuleError,
+        "generated singleton rule id '__singleton_b' collides with an "
+        "explicit rule",
+    ),
+    "collision_with_non_string_tid": (
+        _NUMBERED,
+        [_R("__singleton_5", ["x", "y"])],
+        InvalidRuleError,
+        "generated singleton rule id '__singleton_5' collides with an "
+        "explicit rule",
+    ),
+    "rule_mass": (
+        _HEAVY[:2],
+        [_R("r", ["a", "b"])],
+        InvalidRuleError,
+        "rule 'r' has total probability 1.2 > 1",
+    ),
+    "collision_before_rule_mass": (
+        _HEAVY,
+        [_R("r", ["a", "b"]), _R("__singleton_c", ["d"])],
+        InvalidRuleError,
+        "generated singleton rule id '__singleton_c' collides with an "
+        "explicit rule",
+    ),
+    "two_rules_before_rule_mass": (
+        _HEAVY[:3],
+        [_R("r", ["a", "b"]), _R("s", ["c", "a"])],
+        InvalidRuleError,
+        "tuple 'a' appears in rules 'r' and 's'",
+    ),
+}
+
+
 class TestAttributeTuple:
     def test_expected_score(self):
         row = AttributeTuple("x", DiscretePDF([10, 20], [0.5, 0.5]))
@@ -173,6 +296,35 @@ class TestTupleLevelRelation:
         assert fig4.rule_of("t2").rule_id == "tau2"
         assert fig4.rule_of("t1").is_singleton
         assert fig4.rule_count == 3
+
+    @pytest.mark.parametrize("case", sorted(CONSTRUCTION_ERRORS))
+    def test_construction_errors(self, case):
+        rows, rules, error, message = CONSTRUCTION_ERRORS[case]
+        with pytest.raises(error) as caught:
+            TupleLevelRelation(rows, rules=rules)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_claimed_tuple_may_own_its_singleton_id(self):
+        relation = TupleLevelRelation(
+            _ABCD, rules=[ExclusionRule("__singleton_a", ["a", "b"])]
+        )
+        assert relation.rule_of("a").rule_id == "__singleton_a"
+        assert relation.rule_count == 3
+
+    def test_implied_singletons_match_the_cover(self):
+        explicit = [ExclusionRule("r", ["d", "b"])]
+        relation = TupleLevelRelation(_ABCD, rules=explicit)
+        covered = cover_with_singletons(explicit, relation.tids())
+        assert relation.rules == tuple(covered)
+        assert relation.rules is relation.rules
+        assert relation.explicit_rules == tuple(explicit)
+        assert relation.rule_count == len(covered) == 3
+        for rule in covered:
+            for tid in rule:
+                assert relation.rule_of(tid) == rule
+        with pytest.raises(ModelError):
+            relation.rule_of("zz")
 
     def test_rule_overflow_rejected(self):
         with pytest.raises(InvalidRuleError):

@@ -334,17 +334,19 @@ class TestPinnedDigests:
 
 
 def _random_writes(store, rng, writes):
-    """Apply ``writes`` seeded random updates, yielding after each."""
-    fresh = 0
+    """Apply ``writes`` seeded random updates, yielding after each.
+
+    Inserted ids carry the store version, so repeated calls on one
+    store never reuse an id.
+    """
     for _ in range(writes):
         kind = rng.choice(("insert", "delete", "probability", "score"))
         tids = sorted(store.score_order())
         try:
             if kind == "insert" or len(tids) < 5:
-                fresh += 1
                 rule = rng.choice((None, None, "g0", "g1", "g2"))
                 store.insert(
-                    f"n{fresh}",
+                    f"n{store.version}",
                     score=rng.uniform(0.0, 100.0),
                     probability=rng.uniform(0.01, 0.3),
                     rule=rule,

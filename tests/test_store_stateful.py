@@ -4,8 +4,11 @@ A hypothesis rule-based state machine drives random interleavings of
 inserts, deletes, and updates against :class:`MaintainedTupleStore`,
 with a plain-dictionary model as the oracle.  Invariants checked after
 every step: the maintained ``E[|W|]`` equals the model's sum, the
-score order matches a from-scratch sort, and snapshots rank exactly
-like a freshly-built relation.
+score order matches a from-scratch sort, snapshots rank exactly like a
+freshly-built relation, and a snapshot equals a relation built fresh
+from the model (tuple order, rules, rule lookups and digest).  Inserts
+join named rules, so multi-member rules grow, shrink to one member
+(an implied singleton) and disappear.
 """
 
 from __future__ import annotations
@@ -23,11 +26,14 @@ from hypothesis.stateful import (
 
 from repro.core import tuple_expected_ranks
 from repro.engine import MaintainedTupleStore
+from repro.exceptions import InvalidRuleError
+from repro.models import ExclusionRule, TupleLevelRelation, TupleLevelTuple
 
 SCORES = st.floats(min_value=1.0, max_value=1000.0, allow_nan=False)
 PROBABILITIES = st.floats(
     min_value=0.01, max_value=1.0, allow_nan=False
 )
+RULES = st.sampled_from([None, None, "g0", "g1", "g2"])
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -35,17 +41,26 @@ class StoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.store = MaintainedTupleStore()
         self.model: dict[str, tuple[float, float]] = {}
+        # Members of every named rule, in rule-creation order.
+        self.rule_members: dict[str, list[str]] = {}
         self.counter = 0
 
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
-    @rule(score=SCORES, probability=PROBABILITIES)
-    def insert(self, score, probability):
+    @rule(score=SCORES, probability=PROBABILITIES, rule_id=RULES)
+    def insert(self, score, probability, rule_id):
         tid = f"t{self.counter}"
         self.counter += 1
-        self.store.insert(tid, score=score, probability=probability)
+        try:
+            self.store.insert(
+                tid, score=score, probability=probability, rule=rule_id
+            )
+        except InvalidRuleError:
+            return  # the rule's mass would exceed one; nothing changed
         self.model[tid] = (score, probability)
+        if rule_id is not None:
+            self.rule_members.setdefault(rule_id, []).append(tid)
 
     @precondition(lambda self: self.model)
     @rule(data=st.data())
@@ -53,12 +68,20 @@ class StoreMachine(RuleBasedStateMachine):
         tid = data.draw(st.sampled_from(sorted(self.model)))
         self.store.delete(tid)
         del self.model[tid]
+        for rule_id, members in list(self.rule_members.items()):
+            if tid in members:
+                members.remove(tid)
+                if not members:
+                    del self.rule_members[rule_id]
 
     @precondition(lambda self: self.model)
     @rule(data=st.data(), probability=PROBABILITIES)
     def update_probability(self, data, probability):
         tid = data.draw(st.sampled_from(sorted(self.model)))
-        self.store.update_probability(tid, probability)
+        try:
+            self.store.update_probability(tid, probability)
+        except InvalidRuleError:
+            return  # the rule's mass would exceed one; nothing changed
         score, _ = self.model[tid]
         self.model[tid] = (score, probability)
 
@@ -101,6 +124,29 @@ class StoreMachine(RuleBasedStateMachine):
         queried = self.store.topk(min(2, len(snapshot)))
         for item in queried:
             assert abs(item.statistic - direct[item.tid]) < 1e-9
+
+    @invariant()
+    def snapshot_equals_fresh_relation(self):
+        if not self.model:
+            return
+        snapshot = self.store.snapshot()
+        fresh = TupleLevelRelation(
+            [
+                TupleLevelTuple(tid, score, probability)
+                for tid, (score, probability) in self.model.items()
+            ],
+            rules=[
+                ExclusionRule(rule_id, members)
+                for rule_id, members in self.rule_members.items()
+                if len(members) > 1
+            ],
+        )
+        assert snapshot.tids() == tuple(self.model)
+        assert snapshot.rules == fresh.rules
+        assert snapshot.rule_count == fresh.rule_count
+        for tid in self.model:
+            assert snapshot.rule_of(tid) == fresh.rule_of(tid)
+        assert snapshot.digest() == fresh.digest()
 
 
 StoreMachine.TestCase.settings = settings(

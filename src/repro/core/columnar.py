@@ -37,15 +37,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
+from repro.models.rules import ExclusionRule
 from repro.models.tuple_level import TupleLevelRelation
 from repro.obs import count, emit_event, profiled
 
@@ -57,6 +58,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch
 __all__ = [
     "AttributeColumns",
     "TupleColumns",
+    "TupleColumnsDelta",
     "MASS_TOLERANCE",
     "convolve_bernoulli",
     "deconvolve_bernoulli",
@@ -190,48 +192,193 @@ class TupleColumns:
         """Flatten ``relation``; prefer ``relation.columns()``, which
         builds this once per relation version.
 
-        Only explicit rules are visited member by member; the implied
-        singletons follow them in ``relation.rules`` in insertion
-        order, so they are numbered with one ``arange``.
+        A store snapshot carries a :class:`TupleColumnsDelta` from an
+        earlier version's columns; scores, probabilities, rule members
+        and the access order are then derived from those
+        (:meth:`TupleColumnsDelta.apply`), otherwise they are read off
+        the rows and sorted.  Either way they are the same values (the
+        access order is the one permutation sorted by decreasing score,
+        then position), and the rest is the same numpy work on them,
+        so a derived build is bit-identical to a build from the rows.
+        Only explicit rules have members; the implied singletons follow
+        them in ``relation.rules`` in insertion order, so they are
+        numbered with one ``arange``.
         """
-        rows = relation.tuples
-        n = len(rows)
-        scores = np.fromiter(
-            map(attrgetter("score"), rows), dtype=float, count=n
-        )
-        probs = np.fromiter(
-            map(attrgetter("probability"), rows), dtype=float, count=n
-        )
-        explicit = relation.explicit_rules
-        members = np.fromiter(
-            map(relation.position_of, chain.from_iterable(explicit)),
-            dtype=np.int64,
-        )
-        member_offsets = np.zeros(len(explicit) + 1, dtype=np.int64)
-        np.cumsum([len(rule) for rule in explicit], out=member_offsets[1:])
+        delta = relation._take_columns_delta()
+        if delta is not None:
+            scores, probs, members, lengths, order = delta.apply(relation)
+        else:
+            rows = relation.tuples
+            scores = _column(rows, "score")
+            probs = _column(rows, "probability")
+            explicit = relation.explicit_rules
+            members = np.fromiter(
+                map(relation.position_of, chain.from_iterable(explicit)),
+                dtype=np.int64,
+            )
+            lengths = np.fromiter(
+                map(len, explicit), dtype=np.int64, count=len(explicit)
+            )
+            order = np.lexsort((np.arange(len(rows)), -scores))
+        n = scores.size
+        member_offsets = np.zeros(lengths.size + 1, dtype=np.int64)
+        np.cumsum(lengths, out=member_offsets[1:])
         rules = np.full(n, -1, dtype=np.int64)
-        rules[members] = np.repeat(
-            np.arange(len(explicit)), np.diff(member_offsets)
-        )
+        rules[members] = np.repeat(np.arange(lengths.size), lengths)
         implied = rules < 0
-        rules[implied] = len(explicit) + np.arange(
+        rules[implied] = lengths.size + np.arange(
             int(np.count_nonzero(implied))
         )
         rule_masses = np.bincount(
             rules, weights=probs, minlength=relation.rule_count
         ).astype(float, copy=False)
-        order = np.lexsort((np.arange(n), -scores))
         return cls(
             scores=scores,
             probs=probs,
             rules=rules,
             rule_masses=rule_masses,
             order=order,
-            tids=tuple(map(attrgetter("tid"), rows)),
+            tids=relation.tids(),
             expected_world_size=math.fsum(probs.tolist()),
             members=members,
             member_offsets=member_offsets,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class TupleColumnsDelta:
+    """How a store snapshot differs from an earlier version whose
+    :class:`TupleColumns` were built (``base``).
+
+    The snapshot's rows are the base's rows minus those at the sorted
+    base positions ``dropped``, in base order, followed by the rows
+    inserted since (appended).  ``updated`` names surviving base rows
+    whose score or probability changed.  ``base_rules`` are the base's
+    explicit rules: a rule object the snapshot shares with the base has
+    the same members (a store makes a new rule when membership
+    changes), so its member positions are the base's, remapped.
+    """
+
+    base: TupleColumns
+    base_rules: tuple[ExclusionRule, ...]
+    dropped: np.ndarray
+    updated: tuple[str, ...]
+
+    def apply(self, relation: TupleLevelRelation) -> tuple[np.ndarray, ...]:
+        """``relation``'s scores, probabilities, rule members, rule
+        sizes and access order: ``O(N)`` numpy work plus Python work
+        per appended or updated row, per member of a rule the base
+        does not share, and per score tie a moved row lands in.
+        """
+        base = self.base
+        keep = np.ones(base.size, dtype=bool)
+        keep[self.dropped] = False
+        # Base position -> the snapshot's position (for kept rows).
+        moved = np.cumsum(keep) - 1
+        kept = base.size - self.dropped.size
+        appended = [relation[i] for i in range(kept, relation.size)]
+        scores = np.concatenate(
+            (base.scores[keep], _column(appended, "score"))
+        )
+        probs = np.concatenate(
+            (base.probs[keep], _column(appended, "probability"))
+        )
+        # Kept rows whose score changed leave the base order and are
+        # merged back in with the appended rows.
+        rescored = np.arange(kept, scores.size)
+        if self.updated:
+            positions = np.fromiter(
+                map(relation.position_of, self.updated),
+                dtype=np.int64,
+                count=len(self.updated),
+            )
+            rows = [relation[position] for position in positions.tolist()]
+            old = scores[positions]
+            scores[positions] = [row.score for row in rows]
+            probs[positions] = [row.probability for row in rows]
+            rescored = np.concatenate(
+                (positions[scores[positions] != old], rescored)
+            )
+        members, lengths = self._members(relation, moved)
+        order = _merge_order(
+            scores, moved[base.order[keep[base.order]]], rescored
+        )
+        return scores, probs, members, lengths, order
+
+    def _members(
+        self, relation: TupleLevelRelation, moved: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The explicit rules' member positions and sizes."""
+        base = self.base
+        explicit = relation.explicit_rules
+        if explicit is self.base_rules:
+            # The usual write touches no rule, and the store then hands
+            # the snapshot the base's rule tuple itself.
+            return moved[base.members], np.diff(base.member_offsets)
+        # Each explicit rule's base rule index, -1 for a rule the base
+        # does not share.
+        base_rule = dict(
+            zip(map(id, self.base_rules), range(len(self.base_rules)))
+        )
+        source = np.fromiter(
+            map(base_rule.get, map(id, explicit), repeat(-1)),
+            dtype=np.int64,
+            count=len(explicit),
+        )
+        shared = source >= 0
+        fresh = [explicit[i] for i in np.flatnonzero(~shared).tolist()]
+        lengths = np.empty(len(explicit), dtype=np.int64)
+        lengths[shared] = np.diff(base.member_offsets)[source[shared]]
+        lengths[~shared] = list(map(len, fresh))
+        offsets = np.zeros(len(explicit) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        owner = np.repeat(np.arange(len(explicit)), lengths)
+        from_base = shared[owner]
+        entries = np.flatnonzero(from_base)
+        rule = owner[entries]
+        members = np.empty(int(offsets[-1]), dtype=np.int64)
+        members[entries] = moved[
+            base.members[
+                base.member_offsets[source[rule]] + entries - offsets[rule]
+            ]
+        ]
+        members[~from_base] = np.fromiter(
+            map(relation.position_of, chain.from_iterable(fresh)),
+            dtype=np.int64,
+        )
+        return members, lengths
+
+
+def _column(rows: Sequence, name: str) -> np.ndarray:
+    """One float attribute of every row."""
+    return np.fromiter(
+        map(attrgetter(name), rows), dtype=float, count=len(rows)
+    )
+
+
+def _merge_order(
+    scores: np.ndarray, order: np.ndarray, rescored: np.ndarray
+) -> np.ndarray:
+    """The access order, ``lexsort((arange(n), -scores))``, from
+    ``order``: every position not in ``rescored``, already in access
+    order, into which the ``rescored`` positions are merged."""
+    if rescored.size:
+        stale = np.zeros(scores.size, dtype=bool)
+        stale[rescored] = True
+        order = order[~stale[order]]
+    rescored = rescored[np.lexsort((rescored, -scores[rescored]))]
+    keys = -scores[order]
+    wanted = -scores[rescored]
+    # Insertion points by (-score, position): past the larger scores,
+    # then past the equal scores at lower positions.
+    at = np.searchsorted(keys, wanted, side="left")
+    ties = np.searchsorted(keys, wanted, side="right") - at
+    for index in np.flatnonzero(ties).tolist():
+        start = at[index]
+        at[index] += np.searchsorted(
+            order[start : start + ties[index]], rescored[index]
+        )
+    return np.insert(order, at, rescored)
 
 
 # ----------------------------------------------------------------------

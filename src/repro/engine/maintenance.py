@@ -20,23 +20,46 @@ row's place), so a snapshot is one ``O(N)`` pointer copy of the rows;
 each multi-member rule keeps its immutable :class:`ExclusionRule`,
 shared by every version, and only rules whose membership changed are
 rebuilt.  The relation builds no implied singleton rules up front.
+
+The first read of a snapshot is priced by the change too.  The store
+keeps the :class:`~repro.core.columnar.TupleColumns` of its newest
+version whose columns were built (the *base*) and a log of the writes
+since; each snapshot carries a
+:class:`~repro.core.columnar.TupleColumnsDelta` from the base, so its
+columns are derived with ``O(N)`` numpy work and Python work per
+change.  The digest shares the rows' and rules' kept JSON fragments
+(:func:`~repro.obs.capture.relation_digest`).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import TYPE_CHECKING, Iterable, cast
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, cast
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.result import TopKResult
 
+from repro.core.columnar import TupleColumnsDelta
 from repro.exceptions import EngineError, InvalidRuleError
 from repro.models.pdf import PROBABILITY_TOLERANCE
 from repro.models.rules import ExclusionRule
 from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
 
 __all__ = ["MaintainedTupleStore"]
+
+
+class _Version(NamedTuple):
+    """What the store keeps of a snapshot to derive later snapshots'
+    columns from: its columns (or its columns memo slot, filled when
+    the snapshot is first read), tid index and explicit rules; not the
+    snapshot itself, whose digest and tables may be large."""
+
+    columns: Any
+    index: dict[str, int]
+    rules: tuple[ExclusionRule, ...]
 
 
 class MaintainedTupleStore:
@@ -67,12 +90,25 @@ class MaintainedTupleStore:
         # object was built.
         self._multi: dict[str, ExclusionRule | None] = {}
         self._multi_ordered = True
+        # ``_multi``'s rule objects as the last snapshot took them, or
+        # None once ``_multi`` changed; an unchanged tuple is handed to
+        # every snapshot, so a version shares it with the one before.
+        self._explicit: tuple[ExclusionRule, ...] | None = ()
         self._expected_world_size = 0.0
         # Sorted (negative score, insertion counter, tid) keys so the
         # score-descending order is maintained under updates.
         self._sorted_keys: list[tuple[float, int, str]] = []
         self._key_of: dict[str, tuple[float, int, str]] = {}
         self._counter = 0
+        # Column hand-off (see snapshot()): the last snapshot, the base,
+        # and the writes since the base, or since the last snapshot
+        # when there is no base; ``_log_mark`` is where the writes
+        # since the last snapshot start.  Nothing is logged before the
+        # first snapshot.
+        self._last: _Version | None = None
+        self._base: _Version | None = None
+        self._log: list[tuple[str, str]] = []
+        self._log_mark = 0
         #: Monotone mutation counter; ranking views compare against it
         #: to detect staleness.
         self.version = 0
@@ -115,13 +151,13 @@ class MaintainedTupleStore:
         self._counter += 1
         bisect.insort(self._sorted_keys, key)
         self._key_of[tid] = key
-        self.version += 1
+        self._logged("insert", tid)
 
     def delete(self, tid: str) -> None:
         """Remove a tuple; its rule keeps the remaining members."""
         row = self._pop_checked(tid)
         self._expected_world_size -= row.probability
-        self.version += 1
+        self._logged("delete", tid)
 
     def update_probability(self, tid: str, probability: float) -> None:
         """Change a membership probability in ``O(1)`` (plus rule
@@ -141,7 +177,7 @@ class MaintainedTupleStore:
         self._rule_mass[rule_id] = new_mass
         self._expected_world_size += probability - row.probability
         self._rows[tid] = updated
-        self.version += 1
+        self._logged("update", tid)
 
     def update_score(self, tid: str, score: float) -> None:
         """Change a score; the sorted order is repaired by re-keying.
@@ -160,7 +196,24 @@ class MaintainedTupleStore:
         bisect.insort(self._sorted_keys, key)
         self._key_of[tid] = key
         self._rows[tid] = updated
+        self._logged("update", tid)
+
+    def _logged(self, kind: str, tid: str) -> None:
+        """Count a write and log it for the next snapshot's columns.
+
+        A log longer than the store would cost more to replay than a
+        build from the rows; the hand-off is then dropped, and the
+        next snapshot builds from its rows and starts a new one.
+        """
         self.version += 1
+        if self._last is None:
+            return
+        log = self._log
+        log.append((kind, tid))
+        if len(log) > len(self._rows):
+            self._last = self._base = None
+            log.clear()
+            self._log_mark = 0
 
     def _pop_checked(self, tid: str) -> TupleLevelTuple:
         row = self._require(tid)
@@ -189,8 +242,11 @@ class MaintainedTupleStore:
         """
         multi = self._multi
         if len(members) < 2:
-            multi.pop(rule_id, None)
+            if rule_id in multi:
+                del multi[rule_id]
+                self._explicit = None
             return
+        self._explicit = None
         if rule_id not in multi and multi:
             last = next(reversed(multi))
             if self._rule_born[last] > self._rule_born[rule_id]:
@@ -230,9 +286,33 @@ class MaintainedTupleStore:
         each rule whose membership changed since the last snapshot,
         and ``O(members)`` rule checks; no sort and no implied
         singleton rules.
+
+        The snapshot carries a columns delta from the newest version
+        whose columns were built (the last snapshot, if it was read),
+        so its first read derives its columns instead of building
+        them from the rows.
         """
         if not self._rows:
             raise EngineError("cannot snapshot an empty store")
+        rules = self._explicit
+        if rules is None:
+            rules = self._explicit = self._rebuild_rules()
+        rows = list(self._rows.values())
+        self._promote_last()
+        relation = TupleLevelRelation(
+            rows, rules=rules, columns_delta=self._columns_delta()
+        )
+        self._last = _Version(
+            relation._columns_memo, relation._index, relation.explicit_rules
+        )
+        if self._base is None:
+            self._log.clear()
+        self._log_mark = len(self._log)
+        return relation
+
+    def _rebuild_rules(self) -> tuple[ExclusionRule, ...]:
+        """``_multi``'s rules in creation order, with a new rule object
+        for each rule whose membership changed."""
         multi = self._multi
         if not self._multi_ordered:
             born = self._rule_born
@@ -245,8 +325,47 @@ class MaintainedTupleStore:
         for rule_id in stale:
             multi[rule_id] = ExclusionRule(rule_id, members[rule_id])
         # Every value is a rule object again.
-        rules = cast("tuple[ExclusionRule, ...]", tuple(multi.values()))
-        return TupleLevelRelation(list(self._rows.values()), rules=rules)
+        return cast("tuple[ExclusionRule, ...]", tuple(multi.values()))
+
+    def _promote_last(self) -> None:
+        """Make the last snapshot the base if its columns were built;
+        the log then starts at that snapshot."""
+        last = self._last
+        if last is None:
+            return
+        columns = last.columns.peek()
+        if columns is not None:
+            self._base = last._replace(columns=columns)
+            del self._log[: self._log_mark]
+            self._log_mark = 0
+
+    def _columns_delta(self) -> TupleColumnsDelta | None:
+        """Replay the log against the base: the base positions of the
+        base rows since deleted and the base rows since updated."""
+        base = self._base
+        if base is None:
+            return None
+        inserted: set[str] = set()
+        dropped: list[int] = []
+        updated: dict[str, None] = {}
+        for kind, tid in self._log:
+            if kind == "insert":
+                inserted.add(tid)
+            elif tid in inserted:
+                if kind == "delete":
+                    inserted.discard(tid)
+            elif kind == "delete":
+                dropped.append(base.index[tid])
+                updated.pop(tid, None)
+            else:
+                updated[tid] = None
+        dropped.sort()
+        return TupleColumnsDelta(
+            base=base.columns,
+            base_rules=base.rules,
+            dropped=np.array(dropped, dtype=np.int64),
+            updated=tuple(updated),
+        )
 
     def topk(
         self, k: int, method: str = "expected_rank", **options
@@ -319,6 +438,14 @@ class MaintainedTupleStore:
             cached.sort(key=born.__getitem__)
         if cached != multi:
             raise EngineError("multi-member rule cache out of sync")
+        explicit = self._explicit
+        if explicit is not None and (
+            [rule.rule_id for rule in explicit] != multi
+            or any(
+                rule is not self._multi[rule.rule_id] for rule in explicit
+            )
+        ):
+            raise EngineError("snapshot rule tuple out of sync")
         for rule_id, rule in self._multi.items():
             members = tuple(self._rule_members[rule_id])
             if rule is not None and rule.tids != members:

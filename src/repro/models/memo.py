@@ -8,10 +8,13 @@ it.  Three such things are expensive and read on every query:
 * the content digest (capture records, coalescing keys, replay), a
   canonical-JSON SHA-256 of the whole relation; its text is joined
   from per-row fragments that the rows keep, so a version that shares
-  rows with a digested one encodes only its new rows (about 8 ms for a
-  tuple N = 8000 store snapshot after a write, 2 vCPUs);
+  rows and rules with a digested one encodes only its new ones (about
+  2-3 ms for a tuple N = 8000 store snapshot after a write, 2 vCPUs);
 * the flat-array image (``TupleColumns`` / ``AttributeColumns``) that
-  the expected-rank and generating-function kernels run on;
+  the expected-rank and generating-function kernels run on; a store
+  snapshot hands its relation a delta from an earlier version's
+  columns, so its build is ``O(N)`` numpy work plus Python work per
+  change (``TupleColumns.from_relation``);
 * the rank tables the generating-function sweeps build from those
   columns (``repro.core.columnar``), which every median, quantile and
   positional semantics reads.
@@ -54,6 +57,11 @@ class Lazy:
     def __init__(self) -> None:
         self._value = _UNSET
         self._lock = threading.Lock()
+
+    def peek(self) -> Any:
+        """The value if built, else ``None``; never builds."""
+        value = self._value
+        return None if value is _UNSET else value
 
     def get(
         self,
@@ -98,7 +106,8 @@ class VersionMemo:
 
     Subclasses call :meth:`_reset_memo` in ``__init__`` and name their
     columns class in ``_COLUMNS``.  A copy (``copy.copy``) or an
-    unpickled relation is a new version with an empty memo.
+    unpickled relation is a new version with an empty memo and no
+    columns delta: its columns are built from its rows.
     """
 
     _COLUMNS: str
@@ -107,6 +116,14 @@ class VersionMemo:
         self._digest_memo = Lazy()
         self._columns_memo = Lazy()
         self._table_memo: dict[Any, Lazy] = {}
+        # What the columns build may derive this version's columns
+        # from instead of the rows (a store's hand-off); taken once.
+        self._columns_delta: Any = None
+
+    def _take_columns_delta(self) -> Any:
+        """The columns delta, dropped from the relation as it is read."""
+        delta, self._columns_delta = self._columns_delta, None
+        return delta
 
     def digest(self) -> str:
         """Stable 16-hex content digest, computed once per object."""
@@ -148,7 +165,7 @@ class VersionMemo:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         del state["_digest_memo"], state["_columns_memo"]
-        del state["_table_memo"]
+        del state["_table_memo"], state["_columns_delta"]
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -31,9 +31,15 @@ class ExclusionRule:
     tids:
         The identifiers of the member tuples, in the order given.  The
         order carries no semantics; it is preserved for presentation.
+
+    A rule is never changed after construction (a store makes a new
+    rule when a rule's membership changes), so ``_json``, the rule's
+    canonical JSON text in a relation document, is filled by the first
+    :func:`~repro.obs.capture.relation_digest` that reads it and then
+    kept; versions that share the rule share the text.
     """
 
-    __slots__ = ("rule_id", "_tids", "_tid_set")
+    __slots__ = ("rule_id", "_tids", "_tid_set", "_json")
 
     def __init__(self, rule_id: str, tids: Iterable[str]) -> None:
         self.rule_id = rule_id
@@ -45,6 +51,7 @@ class ExclusionRule:
             raise InvalidRuleError(
                 f"rule {rule_id!r} lists a tuple more than once"
             )
+        self._json: str | None = None
 
     @classmethod
     def singleton(cls, rule_id: str, tid: str) -> "ExclusionRule":
@@ -54,6 +61,7 @@ class ExclusionRule:
         rule.rule_id = rule_id
         # Membership in a one-member tuple is as cheap as in a set.
         rule._tids = rule._tid_set = (tid,)
+        rule._json = None
         return rule
 
     @property

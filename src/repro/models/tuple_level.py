@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import ModelError
 from repro.models.memo import VersionMemo
@@ -25,6 +25,9 @@ from repro.models.rules import (
     claim_members,
     cover_with_singletons,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.columnar import TupleColumnsDelta
 
 __all__ = ["TupleLevelTuple", "TupleLevelRelation"]
 
@@ -123,7 +126,12 @@ class TupleLevelRelation(VersionMemo):
     singleton on its first lookup and :attr:`rules` lists them all on
     first read.  The relation is immutable; its digest and
     :class:`~repro.core.columnar.TupleColumns` are built on first use
-    and kept (:mod:`repro.models.memo`).
+    and kept (:mod:`repro.models.memo`).  ``columns_delta`` is how a
+    :class:`~repro.engine.maintenance.MaintainedTupleStore` snapshot
+    differs from an earlier version whose columns were built; the
+    columns are then derived from those instead of the rows, and the
+    delta is dropped once read.  The store vouches for it: a wrong
+    delta gives wrong columns.
 
     Examples
     --------
@@ -148,6 +156,8 @@ class TupleLevelRelation(VersionMemo):
         self,
         tuples: Iterable[TupleLevelTuple],
         rules: Sequence[ExclusionRule] | None = None,
+        *,
+        columns_delta: TupleColumnsDelta | None = None,
     ) -> None:
         self._tuples: list[TupleLevelTuple] = list(tuples)
         self._index: dict[str, int] = _index_rows(self._tuples)
@@ -167,6 +177,7 @@ class TupleLevelRelation(VersionMemo):
         self._rule_of = claimed
         self._rules: tuple[ExclusionRule, ...] | None = None
         self._reset_memo()
+        self._columns_delta = columns_delta
 
     # ------------------------------------------------------------------
     # Collection protocol
@@ -234,7 +245,7 @@ class TupleLevelRelation(VersionMemo):
 
     def tids(self) -> tuple[str, ...]:
         """All tuple identifiers in insertion order."""
-        return tuple(row.tid for row in self._tuples)
+        return tuple(self._index)
 
     def rule_of(self, tid: str) -> ExclusionRule:
         """The unique rule containing ``tid``.

@@ -434,6 +434,60 @@ class TestStoreDigests:
             assert len(encoded) <= changed
 
 
+    def test_rule_membership_changes_keep_the_document_digest(
+        self, monkeypatch
+    ):
+        """Rules grow, shrink to a singleton (leaving the document),
+        vanish and re-form; each new rule object's fragment is encoded
+        once, rules shared with a digested version not at all."""
+        encoded = []
+        real = capture._rule_json
+
+        def counting(rule):
+            encoded.append(rule.rule_id)
+            return real(rule)
+
+        monkeypatch.setattr(capture, "_rule_json", counting)
+        store = MaintainedTupleStore.from_relation(
+            generate_tuple_relation(
+                60, rule_fraction=0.5, rule_size=3, seed=21
+            )
+        )
+        first = store.snapshot()
+        assert first.digest() == _document_digest(first)
+        assert len(encoded) == len(first.explicit_rules) > 2
+        grown, shrunk, vanished = first.explicit_rules[:3]
+        encoded.clear()
+        store.insert("new", score=5.0, probability=0.0, rule=grown.rule_id)
+        for tid in shrunk.tids[1:]:
+            store.delete(tid)
+        for tid in vanished.tids:
+            store.delete(tid)
+        second = store.snapshot()
+        assert second.digest() == _document_digest(second)
+        assert encoded == [grown.rule_id]
+        assert shrunk.rule_id not in {
+            rule.rule_id for rule in second.explicit_rules
+        }
+        encoded.clear()
+        store.insert("back", score=1.0, probability=0.0, rule=shrunk.rule_id)
+        third = store.snapshot()
+        assert third.digest() == _document_digest(third)
+        assert encoded == [shrunk.rule_id]
+
+    def test_explicit_singleton_rules_stay_out_of_the_digest(self):
+        rows = [TupleLevelTuple(tid, 1.0, 0.5) for tid in "abc"]
+        relation = TupleLevelRelation(
+            rows,
+            rules=[ExclusionRule("solo", ["a"]), ExclusionRule("p", "bc")],
+        )
+        assert relation.digest() == _document_digest(relation)
+        plain = TupleLevelRelation(
+            rows, rules=[ExclusionRule("p", "bc")]
+        )
+        assert plain.digest() == relation.digest()
+
+
 def test_traced_run_hooks_install_and_see_memo_builds():
     """The perfbench tracer patches these names through
     ``owner.__dict__``; a moved hook fails every traced run."""

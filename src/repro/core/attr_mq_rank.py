@@ -45,14 +45,9 @@ import numpy as np
 
 from repro.core.attr_expected_rank import _SeenPrefix
 from repro.core.beats import value_beat_probability
-from repro.core.columnar import (
-    _gf_distress,
-    attribute_rank_pmf_matrix,
-    mass_violation,
-    rank_quantiles,
-)
+from repro.core.columnar import _quantile_topk, _rank_distributions
 from repro.core.rank_distribution import RankDistribution, _method_name
-from repro.core.result import TopKResult, top_k_result
+from repro.core.result import TopKResult
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
@@ -124,23 +119,15 @@ def attribute_rank_distributions(
 ) -> dict[str, RankDistribution]:
     """Exact rank distributions of every tuple.
 
-    Runs the columnar generating-function sweep
-    (:mod:`repro.core.columnar`, ``O(N * S)``); it agrees with the
-    paper's cubic dynamic program,
+    Reads the columnar generating-function table
+    (:mod:`repro.core.columnar`, ``O(N * S)`` to build); it agrees with
+    the paper's cubic dynamic program,
     :func:`attribute_rank_distributions_dp`, to within ``1e-9``.  A
-    sweep result that loses probability mass beyond the
-    :data:`~repro.core.columnar.MASS_TOLERANCE` guard is discarded and
-    recomputed with the DP (``kernel.gf_fallback`` counts how often).
+    table that failed its mass check when it was built
+    (:data:`~repro.core.columnar.MASS_TOLERANCE`) is replaced by the
+    DP's (``kernel.gf_fallback`` counts how often).
     """
-    matrix = attribute_rank_pmf_matrix(relation, ties=ties)
-    deviation = mass_violation(matrix)
-    if deviation is not None:
-        _gf_distress("attribute_rank_distributions", deviation)
-        return attribute_rank_distributions_dp(relation, ties=ties)
-    return {
-        tid: RankDistribution(matrix[position])
-        for position, tid in enumerate(relation.tids())
-    }
+    return _rank_distributions(relation, ties)
 
 
 @profiled("a_mqrank")
@@ -156,42 +143,7 @@ def a_mqrank(
     ``phi = 0.5`` (the default) is the median rank.  Ties on the
     quantile value are broken by insertion order.
     """
-    if k < 0:
-        raise RankingError(f"k must be >= 0, got {k!r}")
-    if not 0.0 < phi <= 1.0:
-        raise RankingError(f"phi must be in (0, 1], got {phi!r}")
-    count("a_mqrank.tuples_accessed", relation.size)
-    matrix = attribute_rank_pmf_matrix(relation, ties=ties)
-    deviation = mass_violation(matrix)
-    if deviation is None:
-        quantiles = rank_quantiles(matrix, phi)
-        statistics = {
-            tid: float(quantiles[position])
-            for position, tid in enumerate(relation.tids())
-        }
-    else:
-        _gf_distress("a_mqrank", deviation)
-        distributions = attribute_rank_distributions_dp(
-            relation, ties=ties
-        )
-        statistics = {
-            tid: float(dist.quantile(phi))
-            for tid, dist in distributions.items()
-        }
-    return top_k_result(
-        _method_name(phi),
-        k,
-        relation.tids(),
-        list(statistics.values()),
-        statistics,
-        {
-            "tuples_accessed": relation.size,
-            "exact": True,
-            "phi": phi,
-            "ties": ties,
-            "gf_fallback": deviation is not None,
-        },
-    )
+    return _quantile_topk("a_mqrank", relation, k, phi, ties)
 
 
 def _markov_quantile_upper(expected_rank_upper: float, phi: float) -> int:

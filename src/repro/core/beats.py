@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from repro.models.pdf import DiscretePDF
 from repro.models.possible_worlds import TieRule, _check_ties
+from repro.models.tuple_level import TupleLevelTuple
 
-__all__ = ["value_beat_probability", "beat_probability"]
+__all__ = ["value_beat_probability", "beat_probability", "tuple_beats"]
 
 
 def value_beat_probability(
@@ -32,6 +33,25 @@ def value_beat_probability(
     if ties == "by_index" and challenger_is_earlier:
         return challenger.pr_greater_equal(value)
     return challenger.pr_greater(value)
+
+
+def tuple_beats(
+    challenger: TupleLevelTuple,
+    target: TupleLevelTuple,
+    positions: dict[str, int],
+    ties: TieRule,
+) -> bool:
+    """Whether ``challenger`` ranks above ``target`` when both appear.
+
+    ``positions`` maps tuple ids to insertion positions, which break
+    exact score ties under ``ties="by_index"``.
+    """
+    if challenger.score > target.score:
+        return True
+    # Ties are exact equality of input scores.  # repro: noqa RPR002
+    if ties == "by_index" and challenger.score == target.score:
+        return positions[challenger.tid] < positions[target.tid]
+    return False
 
 
 def beat_probability(

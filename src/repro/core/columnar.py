@@ -39,10 +39,12 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
+from repro.core.rank_distribution import RankDistribution, _method_name
+from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
@@ -554,10 +556,11 @@ def mass_violation(
     sums to one; chained polynomial divisions can break that promise on
     adversarial inputs despite the direction-stable recurrences and
     periodic rebuilds.  Returns the largest ``|sum(row) - 1|`` when it
-    exceeds ``tol`` (numerical distress: the caller should fall back to
-    the legacy DP), else ``None``.  :func:`rank_quantiles` silently
-    renormalizes rows, so callers must run this check *before* reading
-    quantiles off a sweep result.
+    exceeds ``tol`` (numerical distress), else ``None``.  A relation's
+    rank tables are checked with this once, when they are built, and a
+    distressed one is never handed out: the guarded read replaces it
+    with the legacy DP's table.  :func:`rank_quantiles` silently
+    renormalizes rows, so it must only see checked tables.
     """
     if matrix.shape[0] == 0:
         return None
@@ -609,13 +612,14 @@ def attribute_rank_pmf_matrix(
     total support values, vs the DP's ``O(N^2 * S)``.
 
     A relation's table is built once per version and tie rule and
-    returned read-only (``VersionMemo.table``); an
+    returned read-only (``VersionMemo.table``); a sweep that fails its
+    mass check is replaced by the legacy DP's table and not kept.  An
     :class:`AttributeColumns` argument is swept on every call.
     """
     _check_ties(ties)
     if isinstance(relation, AttributeColumns):
         return _attribute_sweep(relation, ties)
-    return _attribute_table(relation, ties)[0]
+    return _read(relation, "attribute", ties)[0]
 
 
 @profiled("a_mqrank_gf")
@@ -717,14 +721,14 @@ def tuple_present_rank_pmf_matrix(
     order *is* the beat order so the same division also serves the
     update, giving ``O(N M)`` total vs the DP's ``O(N M^2)``.
 
-    Memoized per relation version and tie rule like
+    Memoized and guarded per relation version and tie rule like
     :func:`attribute_rank_pmf_matrix`; a :class:`TupleColumns`
     argument is swept on every call.
     """
     _check_ties(ties)
     if isinstance(relation, TupleColumns):
         return _present_sweep(relation, ties)
-    return _present_table(relation, ties)[0]
+    return _read(relation, "present", ties)[0]
 
 
 @profiled("t_mqrank_gf")
@@ -795,23 +799,16 @@ def tuple_rank_pmf_matrix(
     rule factor is swapped for the leftover mass renormalised by
     ``1 / (1 - p(t))`` — one division and one multiplication per tuple.
 
-    A relation's table is memoized per version and tie rule and reads
-    the memoized present-branch table, so a median query and a later
-    positional query on one version share one sweep.
+    A relation's table is memoized and guarded per version and tie
+    rule and reads the memoized present-branch table, so a median query
+    and a later positional query on one version share one sweep.
     """
     _check_ties(ties)
     if isinstance(relation, TupleColumns):
         return _with_absent_branch(
             relation, _present_sweep(relation, ties)
         )
-    columns = relation.columns()
-    return relation.table(
-        ("rank", ties),
-        _nbytes(columns.size, max(columns.rule_count, 1) + 1),
-        _rank_build,
-        relation,
-        ties,
-    )[0]
+    return _read(relation, "rank", ties)[0]
 
 
 def _with_absent_branch(
@@ -856,111 +853,197 @@ def rank_position_probability_matrix(
     The positional table behind PRF, U-kRanks, PT-k and Global-Topk
     (index tie-break).  Attribute-level rows sum to one; tuple-level
     rows are ``p(t)`` times the present-branch pmf and sum to ``p(t)``.
-    Built once per relation version and returned read-only.  The
-    sweep it reads (the attribute pmf, or the present-branch pmf) is
-    checked for mass conservation once per build; a distressed sweep
-    is replaced by the legacy DP's table, which is not kept.
+    Built once per relation version and returned read-only, through the
+    same guard as every rank table: a table built from a distressed
+    sweep is replaced by the legacy DP's and not kept.
     """
     if isinstance(relation, AttributeLevelRelation):
-        table, deviation = _attribute_table(relation, "by_index")
-        if deviation is None:
-            return table
-        _gf_distress("rank_position_probability_matrix", deviation)
-        return _attribute_dp_table(relation)
-    n = relation.size
-    return relation.table(
-        ("position",), _nbytes(n, n), _position_build, relation
-    )[0]
+        return _read(relation, "attribute", "by_index")[0]
+    return _read(relation, "position", "by_index")[0]
+
+
+def _rank_table(
+    relation: Union[AttributeLevelRelation, TupleLevelRelation],
+    ties: TieRule,
+) -> tuple[np.ndarray, bool]:
+    """Every tuple's rank pmf as a table, and whether the DP made it.
+
+    The attribute-level ``(N, N)`` or tuple-level ``(N, M + 1)`` table
+    of :func:`attribute_rank_pmf_matrix` / :func:`tuple_rank_pmf_matrix`.
+    It is the memoized sweep when that passed its mass check at build
+    time, else the legacy DP's pmfs laid out as the same table
+    (``from_dp`` is then true).
+    """
+    _check_ties(ties)
+    if isinstance(relation, AttributeLevelRelation):
+        return _read(relation, "attribute", ties)
+    return _read(relation, "rank", ties)
+
+
+def _rank_distributions(
+    relation: Union[AttributeLevelRelation, TupleLevelRelation],
+    ties: TieRule,
+) -> dict[str, RankDistribution]:
+    """Every tuple's rank distribution, one row of :func:`_rank_table`."""
+    table, _ = _rank_table(relation, ties)
+    return {
+        tid: RankDistribution(table[position])
+        for position, tid in enumerate(relation.tids())
+    }
+
+
+def _quantile_topk(
+    kernel: str,
+    relation: Union[AttributeLevelRelation, TupleLevelRelation],
+    k: int,
+    phi: float,
+    ties: TieRule,
+) -> TopKResult:
+    """Top-k by the ``phi``-quantile rank, read off :func:`_rank_table`.
+
+    Ties on the quantile are broken by insertion order; ``kernel``
+    names the ``<kernel>.tuples_accessed`` counter.
+    """
+    if k < 0:
+        raise RankingError(f"k must be >= 0, got {k!r}")
+    if not 0.0 < phi <= 1.0:
+        raise RankingError(f"phi must be in (0, 1], got {phi!r}")
+    count(f"{kernel}.tuples_accessed", relation.size)
+    table, from_dp = _rank_table(relation, ties)
+    quantiles = rank_quantiles(table, phi)
+    statistics = {
+        tid: float(quantiles[position])
+        for position, tid in enumerate(relation.tids())
+    }
+    return top_k_result(
+        _method_name(phi),
+        k,
+        relation.tids(),
+        list(statistics.values()),
+        statistics,
+        {
+            "tuples_accessed": relation.size,
+            "exact": True,
+            "phi": phi,
+            "ties": ties,
+            "gf_fallback": from_dp,
+        },
+    )
 
 
 # ----------------------------------------------------------------------
-# Memoized tables: one build per relation version, table and tie rule
+# Memoized tables and the one mass-conservation guard
 # ----------------------------------------------------------------------
-# Each build returns ``(table, deviation)``: the row-stochastic sweeps
-# are checked with ``mass_violation`` once, when they are built, and a
-# distressed table (deviation not None) is handed back but not kept —
-# see ``VersionMemo.table``.
-def _nbytes(rows: int, width: int) -> int:
-    return 8 * rows * width
+# One memo slot per table kind and tie rule (``VersionMemo.table``):
+#   "attribute"  the attribute-level sweep, N x N
+#   "present"    the tuple-level present-branch sweep, N x M
+#   "rank"       "present" mixed with the absent branch, N x (M + 1)
+#   "position"   "present" times p(t), N x N (tuple level only)
+# Each build returns ``(table, deviation)``.  A sweep is checked with
+# ``mass_violation`` once, when it is built, and a table built from a
+# distressed table is distressed itself; the memo keeps no distressed
+# table, and ``_read`` is the only place that looks at the deviation.
+def _width(columns: Union[AttributeColumns, TupleColumns], kind: str) -> int:
+    if kind in ("attribute", "position"):
+        return columns.size
+    return max(columns.rule_count, 1) + (kind == "rank")
 
 
 def _checked(
-    sweep: Callable[..., np.ndarray],
-    columns: Union[AttributeColumns, TupleColumns],
+    table: np.ndarray, deviation: float | None = None
+) -> tuple[np.ndarray, float | None]:
+    if deviation is None:
+        deviation = mass_violation(table)
+    return table, deviation
+
+
+def _build(
+    relation: Union[AttributeLevelRelation, TupleLevelRelation],
+    kind: str,
     ties: TieRule,
 ) -> tuple[np.ndarray, float | None]:
-    table = sweep(columns, ties)
-    return table, mass_violation(table)
+    columns = relation.columns()
+    if kind == "attribute":
+        return _checked(_attribute_sweep(columns, ties))
+    if kind == "present":
+        return _checked(_present_sweep(columns, ties))
+    present, deviation = _slot(relation, "present", ties)
+    if kind == "rank":
+        return _checked(_with_absent_branch(columns, present), deviation)
+    return _positional(columns, present), deviation
 
 
-def _attribute_table(
-    relation: AttributeLevelRelation, ties: TieRule
+def _slot(
+    relation: Union[AttributeLevelRelation, TupleLevelRelation],
+    kind: str,
+    ties: TieRule,
 ) -> tuple[np.ndarray, float | None]:
-    n = relation.size
+    """The memoized ``(table, deviation)`` of one slot."""
+    columns = relation.columns()
     return relation.table(
-        ("attribute", ties),
-        _nbytes(n, n),
-        _checked,
-        _attribute_sweep,
-        relation.columns(),
+        (kind, ties),
+        8 * columns.size * _width(columns, kind),
+        _build,
+        relation,
+        kind,
         ties,
     )
 
 
-def _present_table(
-    relation: TupleLevelRelation, ties: TieRule
-) -> tuple[np.ndarray, float | None]:
-    columns = relation.columns()
-    return relation.table(
-        ("present", ties),
-        _nbytes(columns.size, max(columns.rule_count, 1)),
-        _checked,
-        _present_sweep,
-        columns,
-        ties,
-    )
+def _read(
+    relation: Union[AttributeLevelRelation, TupleLevelRelation],
+    kind: str,
+    ties: TieRule,
+) -> tuple[np.ndarray, bool]:
+    """The guarded read: a slot's table, or on distress the DP's.
+
+    A distressed slot counts one ``kernel.gf_fallback`` and emits one
+    event naming the table; the DP table it returns is never kept.
+    """
+    table, deviation = _slot(relation, kind, ties)
+    if deviation is None:
+        return table, False
+    _gf_distress(f"{kind}_table", deviation)
+    return _dp_table(relation, kind, ties), True
 
 
-def _rank_build(
-    relation: TupleLevelRelation, ties: TieRule
-) -> tuple[np.ndarray, float | None]:
-    present, deviation = _present_table(relation, ties)
-    return _with_absent_branch(relation.columns(), present), deviation
-
-
-def _position_build(
-    relation: TupleLevelRelation,
-) -> tuple[np.ndarray, float | None]:
-    columns = relation.columns()
-    present, deviation = _present_table(relation, "by_index")
-    if deviation is not None:
-        _gf_distress("rank_position_probability_matrix", deviation)
-        present = _present_dp_table(relation)
+def _positional(columns: TupleColumns, present: np.ndarray) -> np.ndarray:
+    """``p(t)`` times the present-branch pmfs, ``(N, N)``."""
     n = columns.size
     table = np.zeros((n, n))
     limit = min(n, present.shape[1])
     table[:, :limit] = present[:, :limit] * columns.probs[:, None]
-    return table, deviation
-
-
-def _attribute_dp_table(relation: AttributeLevelRelation) -> np.ndarray:
-    """The ``by_index`` rank pmfs of the legacy DP as an ``(N, N)`` table."""
-    from repro.core.attr_mq_rank import attribute_rank_distributions_dp
-
-    distributions = attribute_rank_distributions_dp(relation, ties="by_index")
-    table = np.zeros((relation.size, relation.size))
-    for position, tid in enumerate(relation.tids()):
-        pmf = distributions[tid].pmf
-        table[position, : pmf.size] = pmf
     return table
 
 
-def _present_dp_table(relation: TupleLevelRelation) -> np.ndarray:
-    """The ``by_index`` present-branch pmfs of the legacy DP, ``(N, M)``."""
-    from repro.core.tuple_mq_rank import tuple_present_rank_pmf
+def _dp_table(
+    relation: Union[AttributeLevelRelation, TupleLevelRelation],
+    kind: str,
+    ties: TieRule,
+) -> np.ndarray:
+    """The legacy DP's pmfs laid out as a ``kind`` table."""
+    from repro.core.attr_mq_rank import attribute_rank_distributions_dp
+    from repro.core.tuple_mq_rank import (
+        tuple_present_rank_pmf,
+        tuple_rank_distributions_dp,
+    )
 
-    present = np.zeros((relation.size, max(relation.rule_count, 1)))
-    for position, tid in enumerate(relation.tids()):
-        pmf = tuple_present_rank_pmf(relation, tid, ties="by_index")
-        present[position, : pmf.size] = pmf
-    return present
+    columns = relation.columns()
+    if kind == "position":
+        return _positional(columns, _dp_table(relation, "present", ties))
+    if kind == "present":
+        rows = [
+            tuple_present_rank_pmf(relation, tid, ties=ties)
+            for tid in relation.tids()
+        ]
+    else:
+        dp = (
+            attribute_rank_distributions_dp
+            if kind == "attribute"
+            else tuple_rank_distributions_dp
+        )
+        rows = [dist.pmf for dist in dp(relation, ties=ties).values()]
+    table = np.zeros((columns.size, _width(columns, kind)))
+    for position, pmf in enumerate(rows):
+        table[position, : pmf.size] = pmf
+    return table

@@ -52,7 +52,11 @@ class RankDistribution:
     __slots__ = ("_pmf",)
 
     def __init__(self, pmf: Iterable[float]) -> None:
-        dense = np.asarray(list(pmf), dtype=float)
+        # An ndarray is read as it is: the clip below copies it, so a
+        # read-only table row is never aliased or written.
+        if not isinstance(pmf, np.ndarray):
+            pmf = list(pmf)
+        dense = np.asarray(pmf, dtype=float)
         if dense.size == 0:
             raise RankingError("a rank distribution needs at least rank 0")
         if np.any(dense < -1e-12):

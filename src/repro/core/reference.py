@@ -38,7 +38,11 @@ import numpy as np
 
 from repro.core.attr_expected_rank import a_erank
 from repro.core.attr_mq_rank import _markov_quantile_upper, a_mqrank
-from repro.core.beats import beat_probability, value_beat_probability
+from repro.core.beats import (
+    beat_probability,
+    tuple_beats,
+    value_beat_probability,
+)
 from repro.core.rank_distribution import _method_name
 from repro.core.result import RankedItem, TopKResult
 from repro.exceptions import PruningBoundError, RankingError
@@ -59,21 +63,6 @@ __all__ = [
 ]
 
 
-def _beats(
-    challenger: TupleLevelTuple,
-    target: TupleLevelTuple,
-    positions: dict[str, int],
-    ties: TieRule,
-) -> bool:
-    """Whether ``challenger`` ranks above ``target`` when both appear."""
-    if challenger.score > target.score:
-        return True
-    # Ties are exact equality of input scores.  # repro: noqa RPR002
-    if ties == "by_index" and challenger.score == target.score:
-        return positions[challenger.tid] < positions[target.tid]
-    return False
-
-
 def _rule_aggregates(
     relation: TupleLevelRelation,
     row: TupleLevelTuple,
@@ -92,7 +81,7 @@ def _rule_aggregates(
             continue
         other = relation.tuple_by_id(tid)
         total += other.probability
-        if _beats(other, row, positions, ties):
+        if tuple_beats(other, row, positions, ties):
             beating += other.probability
     return beating, total
 
@@ -186,7 +175,7 @@ def tuple_expected_ranks_quadratic(
     for row in relation:
         higher_mass = 0.0
         for other in relation:
-            if other.tid != row.tid and _beats(
+            if other.tid != row.tid and tuple_beats(
                 other, row, positions, ties
             ):
                 higher_mass += other.probability

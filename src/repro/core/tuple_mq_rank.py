@@ -31,14 +31,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.columnar import (
-    _gf_distress,
-    mass_violation,
-    rank_quantiles,
-    tuple_rank_pmf_matrix,
-)
+from repro.core.beats import tuple_beats
+from repro.core.columnar import _quantile_topk, _rank_distributions
 from repro.core.rank_distribution import RankDistribution, _method_name
-from repro.core.result import TopKResult, top_k_result
+from repro.core.result import TopKResult
 from repro.core.tuple_expected_rank import tuple_expected_ranks
 from repro.exceptions import RankingError
 from repro.models.possible_worlds import TieRule, _check_ties
@@ -58,20 +54,6 @@ __all__ = [
     "t_mqrank",
     "t_mqrank_prune",
 ]
-
-
-def _beats(
-    challenger: TupleLevelTuple,
-    target: TupleLevelTuple,
-    positions: dict[str, int],
-    ties: TieRule,
-) -> bool:
-    if challenger.score > target.score:
-        return True
-    # Ties are exact equality of input scores.  # repro: noqa RPR002
-    if ties == "by_index" and challenger.score == target.score:
-        return positions[challenger.tid] < positions[target.tid]
-    return False
 
 
 def tuple_present_rank_pmf(
@@ -99,7 +81,7 @@ def tuple_present_rank_pmf(
         mass = math.fsum(
             relation.tuple_by_id(member).probability
             for member in rule
-            if _beats(relation.tuple_by_id(member), row, positions, ties)
+            if tuple_beats(relation.tuple_by_id(member), row, positions, ties)
         )
         beat_params.append(mass)
     return poisson_binomial_pmf(beat_params)
@@ -175,23 +157,15 @@ def tuple_rank_distributions(
 ) -> dict[str, RankDistribution]:
     """Exact rank distributions of every tuple.
 
-    Runs the columnar generating-function sweep
-    (:mod:`repro.core.columnar`, ``O(N M)``); it agrees with the
-    paper's ``O(N M^2)`` dynamic program,
-    :func:`tuple_rank_distributions_dp`, to within ``1e-9``.  A sweep
-    result that loses probability mass beyond the
-    :data:`~repro.core.columnar.MASS_TOLERANCE` guard is discarded and
-    recomputed with the DP (``kernel.gf_fallback`` counts how often).
+    Reads the columnar generating-function table
+    (:mod:`repro.core.columnar`, ``O(N M)`` to build); it agrees with
+    the paper's ``O(N M^2)`` dynamic program,
+    :func:`tuple_rank_distributions_dp`, to within ``1e-9``.  A table
+    that failed its mass check when it was built
+    (:data:`~repro.core.columnar.MASS_TOLERANCE`) is replaced by the
+    DP's (``kernel.gf_fallback`` counts how often).
     """
-    matrix = tuple_rank_pmf_matrix(relation, ties=ties)
-    deviation = mass_violation(matrix)
-    if deviation is not None:
-        _gf_distress("tuple_rank_distributions", deviation)
-        return tuple_rank_distributions_dp(relation, ties=ties)
-    return {
-        tid: RankDistribution(matrix[position])
-        for position, tid in enumerate(relation.tids())
-    }
+    return _rank_distributions(relation, ties)
 
 
 @profiled("t_mqrank")
@@ -203,42 +177,7 @@ def t_mqrank(
     ties: TieRule = "by_index",
 ) -> TopKResult:
     """Exact top-k by the ``phi``-quantile of the rank distribution."""
-    if k < 0:
-        raise RankingError(f"k must be >= 0, got {k!r}")
-    if not 0.0 < phi <= 1.0:
-        raise RankingError(f"phi must be in (0, 1], got {phi!r}")
-    count("t_mqrank.tuples_accessed", relation.size)
-    matrix = tuple_rank_pmf_matrix(relation, ties=ties)
-    deviation = mass_violation(matrix)
-    if deviation is None:
-        quantiles = rank_quantiles(matrix, phi)
-        statistics = {
-            tid: float(quantiles[position])
-            for position, tid in enumerate(relation.tids())
-        }
-    else:
-        _gf_distress("t_mqrank", deviation)
-        distributions = tuple_rank_distributions_dp(
-            relation, ties=ties
-        )
-        statistics = {
-            tid: float(dist.quantile(phi))
-            for tid, dist in distributions.items()
-        }
-    return top_k_result(
-        _method_name(phi),
-        k,
-        relation.tids(),
-        list(statistics.values()),
-        statistics,
-        {
-            "tuples_accessed": relation.size,
-            "exact": True,
-            "phi": phi,
-            "ties": ties,
-            "gf_fallback": deviation is not None,
-        },
-    )
+    return _quantile_topk("t_mqrank", relation, k, phi, ties)
 
 
 def _seen_quantile_upper(
@@ -346,7 +285,7 @@ def t_mqrank_prune(
                 other_rule_id = relation.rule_of(other.tid).rule_id
                 if other_rule_id == own_rule_id:
                     continue
-                if _beats(other, candidate_row, positions, ties):
+                if tuple_beats(other, candidate_row, positions, ties):
                     beat_mass[other_rule_id] = (
                         beat_mass.get(other_rule_id, 0.0)
                         + other.probability

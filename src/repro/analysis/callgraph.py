@@ -140,16 +140,33 @@ class FunctionInfo:
 def _function_reference_args(
     dotted: str, call: ast.Call
 ) -> Iterator[ast.expr]:
-    """Expressions this call treats as a thread-dispatch target."""
+    """Expressions this call treats as a thread-dispatch target.
+
+    A ``copy_context().run`` target dispatches the argument after it:
+    ``run_in_executor(pool, copy_context().run, work)`` runs ``work``.
+    """
     tail = dotted.rpartition(".")[2]
-    if tail == "run_in_executor" and len(call.args) >= 2:
-        yield call.args[1]
-    elif tail == "submit" and call.args:
-        yield call.args[0]
+    if tail in ("run_in_executor", "submit"):
+        targets = call.args[1:] if tail == "run_in_executor" else call.args
+        if targets and _is_context_run(targets[0]):
+            targets = targets[1:]
+        if targets:
+            yield targets[0]
     elif tail in ("Thread", "Timer"):
         for keyword in call.keywords:
             if keyword.arg in ("target", "function"):
                 yield keyword.value
+
+
+def _is_context_run(node: ast.expr) -> bool:
+    """``copy_context().run`` / ``contextvars.copy_context().run``."""
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "run"
+        and isinstance(node.value, ast.Call)
+        and (dotted_name(node.value.func) or "").rpartition(".")[2]
+        == "copy_context"
+    )
 
 
 class ProjectIndex:

@@ -31,7 +31,7 @@ from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
-from repro.obs import count, get_registry, profiled
+from repro.obs import count, get_registry, trace
 
 __all__ = [
     "attribute_expected_ranks",
@@ -98,7 +98,6 @@ class _TailOracle:
         return cumulative[index - 1]
 
 
-@profiled("a_erank")
 def attribute_expected_ranks(
     relation: AttributeLevelRelation,
     *,
@@ -109,25 +108,24 @@ def attribute_expected_ranks(
     ``O(S log S)`` where ``S`` is the total pdf size; ``O(N log N)``
     for constant-size pdfs, matching the paper.
     """
-    _check_ties(ties)
-    count("a_erank.tuples_accessed", relation.size)
-    oracle = _TailOracle(relation)
-    ranks: dict[str, float] = {}
-    for position, row in enumerate(relation):
-        terms = []
-        for value, probability in row.score.items():
-            others_above = oracle.mass_greater(value) - row.score.pr_greater(
-                value
-            )
-            if ties == "by_index":
-                # Earlier tuples tied at this value also beat us.
-                others_above += oracle.equal_mass_before(value, position)
-            terms.append(probability * others_above)
-        ranks[row.tid] = math.fsum(terms)
-    return ranks
+    with trace("a_erank"):
+        _check_ties(ties)
+        count("a_erank.tuples_accessed", relation.size)
+        oracle = _TailOracle(relation)
+        ranks: dict[str, float] = {}
+        for position, row in enumerate(relation):
+            terms = []
+            for value, probability in row.score.items():
+                others_above = oracle.mass_greater(value)
+                others_above -= row.score.pr_greater(value)
+                if ties == "by_index":
+                    # Earlier tuples tied at this value also beat us.
+                    others_above += oracle.equal_mass_before(value, position)
+                terms.append(probability * others_above)
+            ranks[row.tid] = math.fsum(terms)
+        return ranks
 
 
-@profiled("a_erank_vectorized")
 def attribute_expected_ranks_vectorized(
     relation: AttributeLevelRelation,
     *,
@@ -143,86 +141,87 @@ def attribute_expected_ranks_vectorized(
     scalability runs; the scalar version stays as the readable
     reference and the two are cross-checked in the tests.
     """
-    _check_ties(ties)
-    count("a_erank_vectorized.tuples_accessed", relation.size)
-    sizes = [row.score.support_size for row in relation]
-    total = sum(sizes)
-    values = np.empty(total)
-    masses = np.empty(total)
-    owners = np.empty(total, dtype=np.int64)
-    cursor = 0
-    for index, row in enumerate(relation):
-        size = sizes[index]
-        values[cursor : cursor + size] = row.score.values
-        masses[cursor : cursor + size] = row.score.probabilities
-        owners[cursor : cursor + size] = index
-        cursor += size
+    with trace("a_erank_vectorized"):
+        _check_ties(ties)
+        count("a_erank_vectorized.tuples_accessed", relation.size)
+        sizes = [row.score.support_size for row in relation]
+        total = sum(sizes)
+        values = np.empty(total)
+        masses = np.empty(total)
+        owners = np.empty(total, dtype=np.int64)
+        cursor = 0
+        for index, row in enumerate(relation):
+            size = sizes[index]
+            values[cursor : cursor + size] = row.score.values
+            masses[cursor : cursor + size] = row.score.probabilities
+            owners[cursor : cursor + size] = index
+            cursor += size
 
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
-    sorted_masses = masses[order]
-    # Suffix sums grouped by distinct value: q(v) = mass strictly above.
-    suffix = np.concatenate(
-        ([0.0], np.cumsum(sorted_masses[::-1]))
-    )[::-1]
-    # For each sorted entry, the first index of its tie group; all
-    # entries of a group share mass-strictly-above = suffix[group_end].
-    is_new_group = np.empty(total, dtype=bool)
-    is_new_group[0] = True
-    np.not_equal(
-        sorted_values[1:], sorted_values[:-1], out=is_new_group[1:]
-    )
-    group_ids = np.cumsum(is_new_group) - 1
-    group_starts = np.nonzero(is_new_group)[0]
-    group_ends = np.append(group_starts[1:], total)
-    q_sorted = suffix[group_ends][group_ids]
-
-    # Own-tuple mass strictly above each value, from each pdf's suffix.
-    own_above = np.empty(total)
-    cursor = 0
-    for index, row in enumerate(relation):
-        size = sizes[index]
-        # pdf suffix[l] = Pr[X >= values[l]]; strictly-above drops the
-        # value's own mass.
-        probabilities = np.asarray(row.score.probabilities)
-        including = np.cumsum(probabilities[::-1])[::-1]
-        own_above[cursor : cursor + size] = including - probabilities
-        cursor += size
-    # own_above now holds Pr[X_i > v_{i,l}] per flattened entry.
-
-    q_by_entry = np.empty(total)
-    q_by_entry[order] = q_sorted
-    others_above = q_by_entry - own_above
-
-    if ties == "by_index":
-        # Within each equal-value group, add the mass of entries from
-        # earlier-positioned tuples (a tuple never repeats a value).
-        tie_order = np.lexsort((owners[order], group_ids))
-        grouped_masses = sorted_masses[tie_order]
-        prefix = np.cumsum(grouped_masses)
-        group_of = group_ids[tie_order]
-        first_of_group = np.empty(total, dtype=bool)
-        first_of_group[0] = True
+        order = np.argsort(values, kind="stable")
+        sorted_values = values[order]
+        sorted_masses = masses[order]
+        # Suffix sums grouped by distinct value: q(v) = mass strictly above.
+        suffix = np.concatenate(
+            ([0.0], np.cumsum(sorted_masses[::-1]))
+        )[::-1]
+        # For each sorted entry, the first index of its tie group; all
+        # entries of a group share mass-strictly-above = suffix[group_end].
+        is_new_group = np.empty(total, dtype=bool)
+        is_new_group[0] = True
         np.not_equal(
-            group_of[1:], group_of[:-1], out=first_of_group[1:]
+            sorted_values[1:], sorted_values[:-1], out=is_new_group[1:]
         )
-        group_base = np.maximum.accumulate(
-            np.where(first_of_group, prefix - grouped_masses, -np.inf)
-        )
-        earlier_in_group = prefix - grouped_masses - group_base
-        tie_extra_sorted = np.empty(total)
-        tie_extra_sorted[tie_order] = earlier_in_group
-        tie_extra = np.empty(total)
-        tie_extra[order] = tie_extra_sorted
-        others_above = others_above + tie_extra
+        group_ids = np.cumsum(is_new_group) - 1
+        group_starts = np.nonzero(is_new_group)[0]
+        group_ends = np.append(group_starts[1:], total)
+        q_sorted = suffix[group_ends][group_ids]
 
-    contributions = masses * others_above
-    ranks = np.zeros(len(relation))
-    np.add.at(ranks, owners, contributions)
-    return {
-        row.tid: float(ranks[index])
-        for index, row in enumerate(relation)
-    }
+        # Own-tuple mass strictly above each value, from each pdf's suffix.
+        own_above = np.empty(total)
+        cursor = 0
+        for index, row in enumerate(relation):
+            size = sizes[index]
+            # pdf suffix[l] = Pr[X >= values[l]]; strictly-above drops the
+            # value's own mass.
+            probabilities = np.asarray(row.score.probabilities)
+            including = np.cumsum(probabilities[::-1])[::-1]
+            own_above[cursor : cursor + size] = including - probabilities
+            cursor += size
+        # own_above now holds Pr[X_i > v_{i,l}] per flattened entry.
+
+        q_by_entry = np.empty(total)
+        q_by_entry[order] = q_sorted
+        others_above = q_by_entry - own_above
+
+        if ties == "by_index":
+            # Within each equal-value group, add the mass of entries from
+            # earlier-positioned tuples (a tuple never repeats a value).
+            tie_order = np.lexsort((owners[order], group_ids))
+            grouped_masses = sorted_masses[tie_order]
+            prefix = np.cumsum(grouped_masses)
+            group_of = group_ids[tie_order]
+            first_of_group = np.empty(total, dtype=bool)
+            first_of_group[0] = True
+            np.not_equal(
+                group_of[1:], group_of[:-1], out=first_of_group[1:]
+            )
+            group_base = np.maximum.accumulate(
+                np.where(first_of_group, prefix - grouped_masses, -np.inf)
+            )
+            earlier_in_group = prefix - grouped_masses - group_base
+            tie_extra_sorted = np.empty(total)
+            tie_extra_sorted[tie_order] = earlier_in_group
+            tie_extra = np.empty(total)
+            tie_extra[order] = tie_extra_sorted
+            others_above = others_above + tie_extra
+
+        contributions = masses * others_above
+        ranks = np.zeros(len(relation))
+        np.add.at(ranks, owners, contributions)
+        return {
+            row.tid: float(ranks[index])
+            for index, row in enumerate(relation)
+        }
 
 
 def a_erank(
@@ -363,7 +362,6 @@ class _SeenPrefix:
         return np.cumsum(self.probs[seen] * ratio, axis=1)[:, -1]
 
 
-@profiled("a_erank_prune")
 def a_erank_prune(
     relation: AttributeLevelRelation,
     k: int,
@@ -385,67 +383,68 @@ def a_erank_prune(
     The returned metadata reports ``tuples_accessed`` — the experiment
     E5 measurement — and whether the scan halted early.
     """
-    if k < 0:
-        raise RankingError(f"k must be >= 0, got {k!r}")
-    _check_ties(ties)
-    if k == 0:
-        return TopKResult(
-            method="expected_rank_prune",
-            k=0,
-            items=(),
-            metadata={
-                "tuples_accessed": 0,
-                "halted_early": True,
-                "exact": False,
-                "ties": ties,
-            },
-        )
-    scan = _SeenPrefix(relation, ties)
-    total = relation.size
-    halted_early = False
-
-    # Bound trajectory for EXPLAIN: recorded only while observability
-    # is on, downsampled to a bounded number of points.
-    trajectory: list[dict] | None = (
-        [] if get_registry().enabled else None
-    )
-    stride = max(1, total // 64)
-
-    while scan.n < total:
-        scan.arrive()
-        n = scan.n
-        if n < k or n == total:
-            continue
-        tails = scan.markov_tails()
-        upper_bounds = scan.seen_terms[:n] + (total - n) * tails
-        lower_bound = n - math.fsum(tails)
-        kth_upper = float(np.partition(upper_bounds, k - 1)[k - 1])
-        halting = kth_upper < lower_bound
-        if trajectory is not None and (halting or n % stride == 0):
-            trajectory.append(
-                {
-                    "accessed": n,
-                    "kth_rank": kth_upper,
-                    "unseen_bound": lower_bound,
-                }
+    with trace("a_erank_prune"):
+        if k < 0:
+            raise RankingError(f"k must be >= 0, got {k!r}")
+        _check_ties(ties)
+        if k == 0:
+            return TopKResult(
+                method="expected_rank_prune",
+                k=0,
+                items=(),
+                metadata={
+                    "tuples_accessed": 0,
+                    "halted_early": True,
+                    "exact": False,
+                    "ties": ties,
+                },
             )
-        if halting:
-            halted_early = True
-            break
+        scan = _SeenPrefix(relation, ties)
+        total = relation.size
+        halted_early = False
 
-    count("a_erank_prune.tuples_accessed", scan.n)
-    if halted_early:
-        count("a_erank_prune.halted_early")
-    metadata: dict[str, object] = {
-        "tuples_accessed": scan.n,
-        "halted_early": halted_early,
-        "exact": scan.n == total,
-        "ties": ties,
-    }
-    if trajectory is not None:
-        metadata["prune_trajectory"] = tuple(trajectory)
-    return replace(
-        a_erank(relation.curtailed(scan.seen_tids()), k, ties=ties),
-        method="expected_rank_prune",
-        metadata=metadata,
-    )
+        # Bound trajectory for EXPLAIN: recorded only while observability
+        # is on, downsampled to a bounded number of points.
+        trajectory: list[dict] | None = (
+            [] if get_registry().enabled else None
+        )
+        stride = max(1, total // 64)
+
+        while scan.n < total:
+            scan.arrive()
+            n = scan.n
+            if n < k or n == total:
+                continue
+            tails = scan.markov_tails()
+            upper_bounds = scan.seen_terms[:n] + (total - n) * tails
+            lower_bound = n - math.fsum(tails)
+            kth_upper = float(np.partition(upper_bounds, k - 1)[k - 1])
+            halting = kth_upper < lower_bound
+            if trajectory is not None and (halting or n % stride == 0):
+                trajectory.append(
+                    {
+                        "accessed": n,
+                        "kth_rank": kth_upper,
+                        "unseen_bound": lower_bound,
+                    }
+                )
+            if halting:
+                halted_early = True
+                break
+
+        count("a_erank_prune.tuples_accessed", scan.n)
+        if halted_early:
+            count("a_erank_prune.halted_early")
+        metadata: dict[str, object] = {
+            "tuples_accessed": scan.n,
+            "halted_early": halted_early,
+            "exact": scan.n == total,
+            "ties": ties,
+        }
+        if trajectory is not None:
+            metadata["prune_trajectory"] = tuple(trajectory)
+        return replace(
+            a_erank(relation.curtailed(scan.seen_tids()), k, ties=ties),
+            method="expected_rank_prune",
+            metadata=metadata,
+        )

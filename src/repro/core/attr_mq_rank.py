@@ -51,7 +51,7 @@ from repro.core.result import TopKResult
 from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
-from repro.obs import count, profiled
+from repro.obs import count, trace
 from repro.stats.poisson_binomial import (
     binomial_pmf,
     mixture_pmf,
@@ -130,7 +130,6 @@ def attribute_rank_distributions(
     return _rank_distributions(relation, ties)
 
 
-@profiled("a_mqrank")
 def a_mqrank(
     relation: AttributeLevelRelation,
     k: int,
@@ -143,7 +142,8 @@ def a_mqrank(
     ``phi = 0.5`` (the default) is the median rank.  Ties on the
     quantile value are broken by insertion order.
     """
-    return _quantile_topk("a_mqrank", relation, k, phi, ties)
+    with trace("a_mqrank"):
+        return _quantile_topk("a_mqrank", relation, k, phi, ties)
 
 
 def _markov_quantile_upper(expected_rank_upper: float, phi: float) -> int:
@@ -234,7 +234,6 @@ def _seen_quantile_upper(
     return markov_cap
 
 
-@profiled("a_mqrank_prune")
 def a_mqrank_prune(
     relation: AttributeLevelRelation,
     k: int,
@@ -261,71 +260,77 @@ def a_mqrank_prune(
     the E15 ablation, which shows the tight bounds are what make this
     scan halt at all on flat data.
     """
-    if k < 0:
-        raise RankingError(f"k must be >= 0, got {k!r}")
-    if not 0.0 < phi < 1.0:
-        raise RankingError(
-            f"phi must be in (0, 1) for the pruned variant, got {phi!r}"
-        )
-    _check_ties(ties)
-    if check_every < 1:
-        raise RankingError(
-            f"check_every must be >= 1, got {check_every!r}"
-        )
-    scan = _SeenPrefix(relation, ties)
-    total = relation.size
-    halted_early = False
+    with trace("a_mqrank_prune"):
+        if k < 0:
+            raise RankingError(f"k must be >= 0, got {k!r}")
+        if not 0.0 < phi < 1.0:
+            raise RankingError(
+                f"phi must be in (0, 1) for the pruned variant, got {phi!r}"
+            )
+        _check_ties(ties)
+        if check_every < 1:
+            raise RankingError(
+                f"check_every must be >= 1, got {check_every!r}"
+            )
+        scan = _SeenPrefix(relation, ties)
+        total = relation.size
+        halted_early = False
 
-    while scan.n < total:
-        scan.arrive()
-        n = scan.n
-        if n < max(k, 1) or n == total or n % check_every:
-            continue
-        expectation_bound = scan.expected[n - 1]
-        unseen_count = total - n
-        lower = _unseen_quantile_lower(scan, expectation_bound, phi)
-        if k == 0:
-            halted_early = True
-            break
-        if lower == 0:
-            continue  # no unseen bound yet; a tight upper cannot help
-        # Rank every seen tuple by its cheap Markov quantile bound and
-        # refine only the k most promising with the conditional
-        # Poisson-binomial + Binomial construction.
-        rank_uppers = scan.seen_terms[:n] + unseen_count * scan.markov_tails()
-        markov_caps = [
-            _markov_quantile_upper(float(upper), phi) for upper in rank_uppers
-        ]
-        candidates = sorted(range(n), key=markov_caps.__getitem__)[:k]
-        if tight_bounds:
-            uppers = [
-                _seen_quantile_upper(
-                    scan,
-                    row,
-                    unseen_count,
-                    expectation_bound,
-                    phi,
-                    markov_caps[row],
-                )
-                for row in candidates
+        while scan.n < total:
+            scan.arrive()
+            n = scan.n
+            if n < max(k, 1) or n == total or n % check_every:
+                continue
+            expectation_bound = scan.expected[n - 1]
+            unseen_count = total - n
+            lower = _unseen_quantile_lower(scan, expectation_bound, phi)
+            if k == 0:
+                halted_early = True
+                break
+            if lower == 0:
+                continue  # no unseen bound yet; a tight upper cannot help
+            # Rank every seen tuple by its cheap Markov quantile bound and
+            # refine only the k most promising with the conditional
+            # Poisson-binomial + Binomial construction.
+            rank_uppers = (
+                scan.seen_terms[:n] + unseen_count * scan.markov_tails()
+            )
+            markov_caps = [
+                _markov_quantile_upper(float(upper), phi)
+                for upper in rank_uppers
             ]
-        else:
-            uppers = [markov_caps[row] for row in candidates]
-        if max(uppers) < lower:
-            halted_early = True
-            break
+            candidates = sorted(range(n), key=markov_caps.__getitem__)[:k]
+            if tight_bounds:
+                uppers = [
+                    _seen_quantile_upper(
+                        scan,
+                        row,
+                        unseen_count,
+                        expectation_bound,
+                        phi,
+                        markov_caps[row],
+                    )
+                    for row in candidates
+                ]
+            else:
+                uppers = [markov_caps[row] for row in candidates]
+            if max(uppers) < lower:
+                halted_early = True
+                break
 
-    count("a_mqrank_prune.tuples_accessed", scan.n)
-    if halted_early:
-        count("a_mqrank_prune.halted_early")
-    return replace(
-        a_mqrank(relation.curtailed(scan.seen_tids()), k, phi=phi, ties=ties),
-        method=f"{_method_name(phi)}_prune",
-        metadata={
-            "tuples_accessed": scan.n,
-            "halted_early": halted_early,
-            "exact": scan.n == total,
-            "phi": phi,
-            "ties": ties,
-        },
-    )
+        count("a_mqrank_prune.tuples_accessed", scan.n)
+        if halted_early:
+            count("a_mqrank_prune.halted_early")
+        return replace(
+            a_mqrank(
+                relation.curtailed(scan.seen_tids()), k, phi=phi, ties=ties
+            ),
+            method=f"{_method_name(phi)}_prune",
+            metadata={
+                "tuples_accessed": scan.n,
+                "halted_early": halted_early,
+                "exact": scan.n == total,
+                "phi": phi,
+                "ties": ties,
+            },
+        )

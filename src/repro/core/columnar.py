@@ -50,7 +50,7 @@ from repro.models.attribute import AttributeLevelRelation
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.rules import ExclusionRule
 from repro.models.tuple_level import TupleLevelRelation
-from repro.obs import count, emit_event, profiled
+from repro.obs import count, emit_event, trace
 
 try:  # SciPy is present in the dev image but is not a declared dep.
     from scipy.signal import lfilter as _lfilter
@@ -622,86 +622,86 @@ def attribute_rank_pmf_matrix(
     return _read(relation, "attribute", ties)[0]
 
 
-@profiled("a_mqrank_gf")
 def _attribute_sweep(columns: AttributeColumns, ties: TieRule) -> np.ndarray:
-    n = columns.size
-    matrix = np.zeros((n, n))
-    if n == 0:
-        return matrix
+    with trace("a_mqrank_gf"):
+        n = columns.size
+        matrix = np.zeros((n, n))
+        if n == 0:
+            return matrix
 
-    # Entries sorted by descending value; equal values keep ascending
-    # owner position, which is the by_index seniority order.
-    entry_order = np.lexsort((columns.owners, -columns.values))
-    values = columns.values[entry_order]
-    masses = columns.probs[entry_order]
-    owners = columns.owners[entry_order]
-    changed = np.not_equal(values[1:], values[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], changed)))
-    ends = np.append(starts[1:], values.size)
+        # Entries sorted by descending value; equal values keep ascending
+        # owner position, which is the by_index seniority order.
+        entry_order = np.lexsort((columns.owners, -columns.values))
+        values = columns.values[entry_order]
+        masses = columns.probs[entry_order]
+        owners = columns.owners[entry_order]
+        changed = np.not_equal(values[1:], values[:-1])
+        starts = np.flatnonzero(np.concatenate(([True], changed)))
+        ends = np.append(starts[1:], values.size)
 
-    tails = np.zeros(n)
-    poly = np.zeros(n + 1)
-    poly[0] = 1.0
-    divisions = 0
+        tails = np.zeros(n)
+        poly = np.zeros(n + 1)
+        poly[0] = 1.0
+        divisions = 0
 
-    for start, end in zip(starts, ends):
-        group = owners[start:end]
-        group_masses = masses[start:end]
-        width = group.size
-        # Remove every group member's ">"-factor: `base` is the product
-        # over tuples whose support does not contain this value.  Wide
-        # tie groups would chain too many divisions between rebuilds, so
-        # they get an exact leave-group-out product instead.
-        if width > _REBUILD_EVERY:
-            keep = np.ones(n, dtype=bool)
-            keep[group] = False
-            base = product_polynomial(tails[keep])
-            divisions = 0
-        else:
-            base = poly
-            for member in group:
-                base = deconvolve_bernoulli(base, tails[member])
-            divisions += width
-        # suffix[t] = product of ">"-factors of members after t.
-        suffix: list[np.ndarray] = [np.array([1.0])] * width
-        for position in range(width - 1, 0, -1):
-            suffix[position - 1] = convolve_bernoulli(
-                suffix[position], tails[group[position]]
-            )
-        current = base
-        for position in range(width):
-            member = int(group[position])
-            tail_poly = suffix[position]
-            if tail_poly.size == 1:
-                conditional = current
+        for start, end in zip(starts, ends):
+            group = owners[start:end]
+            group_masses = masses[start:end]
+            width = group.size
+            # Remove every group member's ">"-factor: `base` is the product
+            # over tuples whose support does not contain this value.  Wide
+            # tie groups would chain too many divisions between rebuilds, so
+            # they get an exact leave-group-out product instead.
+            if width > _REBUILD_EVERY:
+                keep = np.ones(n, dtype=bool)
+                keep[group] = False
+                base = product_polynomial(tails[keep])
+                divisions = 0
             else:
-                conditional = np.convolve(current, tail_poly)
-            matrix[member, : conditional.size] += (
-                group_masses[position] * conditional
-            )
-            if position < width - 1 or ties == "by_index":
-                if ties == "by_index":
-                    # Earlier members beat on ties: ">=" factor.
-                    step = min(
-                        1.0, tails[member] + group_masses[position]
-                    )
+                base = poly
+                for member in group:
+                    base = deconvolve_bernoulli(base, tails[member])
+                divisions += width
+            # suffix[t] = product of ">"-factors of members after t.
+            suffix: list[np.ndarray] = [np.array([1.0])] * width
+            for position in range(width - 1, 0, -1):
+                suffix[position - 1] = convolve_bernoulli(
+                    suffix[position], tails[group[position]]
+                )
+            current = base
+            for position in range(width):
+                member = int(group[position])
+                tail_poly = suffix[position]
+                if tail_poly.size == 1:
+                    conditional = current
                 else:
-                    step = tails[member]
-                current = convolve_bernoulli(current, step)
-        tails[group] = np.minimum(tails[group] + group_masses, 1.0)
-        if ties == "by_index":
-            # The prefix factors were already the updated ones.
-            poly = current
-        else:
-            poly = base
-            for member in group:
-                poly = convolve_bernoulli(poly, tails[member])
-        if divisions >= _REBUILD_EVERY:
-            divisions = 0
-            poly = product_polynomial(tails)
+                    conditional = np.convolve(current, tail_poly)
+                matrix[member, : conditional.size] += (
+                    group_masses[position] * conditional
+                )
+                if position < width - 1 or ties == "by_index":
+                    if ties == "by_index":
+                        # Earlier members beat on ties: ">=" factor.
+                        step = min(
+                            1.0, tails[member] + group_masses[position]
+                        )
+                    else:
+                        step = tails[member]
+                    current = convolve_bernoulli(current, step)
+            tails[group] = np.minimum(tails[group] + group_masses, 1.0)
+            if ties == "by_index":
+                # The prefix factors were already the updated ones.
+                poly = current
+            else:
+                poly = base
+                for member in group:
+                    poly = convolve_bernoulli(poly, tails[member])
+            if divisions >= _REBUILD_EVERY:
+                divisions = 0
+                poly = product_polynomial(tails)
 
-    np.clip(matrix, 0.0, None, out=matrix)
-    return matrix
+        np.clip(matrix, 0.0, None, out=matrix)
+        return matrix
 
 
 # ----------------------------------------------------------------------
@@ -731,59 +731,59 @@ def tuple_present_rank_pmf_matrix(
     return _read(relation, "present", ties)[0]
 
 
-@profiled("t_mqrank_gf")
 def _present_sweep(columns: TupleColumns, ties: TieRule) -> np.ndarray:
-    n = columns.size
-    m = columns.rule_count
-    present = np.zeros((n, max(m, 1)))
-    if n == 0:
-        return present
+    with trace("t_mqrank_gf"):
+        n = columns.size
+        m = columns.rule_count
+        present = np.zeros((n, max(m, 1)))
+        if n == 0:
+            return present
 
-    beaten = np.zeros(m)
-    poly = np.zeros(m + 1)
-    poly[0] = 1.0
-    divisions = 0
-    order = columns.order
-    sorted_scores = columns.scores[order]
-    changed = np.not_equal(sorted_scores[1:], sorted_scores[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], changed)))
-    ends = np.append(starts[1:], n)
+        beaten = np.zeros(m)
+        poly = np.zeros(m + 1)
+        poly[0] = 1.0
+        divisions = 0
+        order = columns.order
+        sorted_scores = columns.scores[order]
+        changed = np.not_equal(sorted_scores[1:], sorted_scores[:-1])
+        starts = np.flatnonzero(np.concatenate(([True], changed)))
+        ends = np.append(starts[1:], n)
 
-    if ties == "by_index":
-        for position in order:
-            rule = int(columns.rules[position])
-            conditional = deconvolve_bernoulli(poly, beaten[rule])
-            divisions += 1
-            present[position] = conditional
-            beaten[rule] = min(
-                1.0, beaten[rule] + columns.probs[position]
-            )
-            poly = convolve_bernoulli(conditional, beaten[rule])
+        if ties == "by_index":
+            for position in order:
+                rule = int(columns.rules[position])
+                conditional = deconvolve_bernoulli(poly, beaten[rule])
+                divisions += 1
+                present[position] = conditional
+                beaten[rule] = min(
+                    1.0, beaten[rule] + columns.probs[position]
+                )
+                poly = convolve_bernoulli(conditional, beaten[rule])
+                if divisions >= _REBUILD_EVERY:
+                    divisions = 0
+                    poly = product_polynomial(beaten)
+            return present
+
+        for start, end in zip(starts, ends):
+            group = order[start:end]
+            # Equal scores never beat under Definition 6, so every member
+            # is queried against the pre-group state.
+            for position in group:
+                rule = int(columns.rules[position])
+                present[position] = deconvolve_bernoulli(poly, beaten[rule])
+            divisions += group.size
+            for position in group:
+                rule = int(columns.rules[position])
+                stripped = deconvolve_bernoulli(poly, beaten[rule])
+                divisions += 1
+                beaten[rule] = min(
+                    1.0, beaten[rule] + columns.probs[position]
+                )
+                poly = convolve_bernoulli(stripped, beaten[rule])
             if divisions >= _REBUILD_EVERY:
                 divisions = 0
                 poly = product_polynomial(beaten)
         return present
-
-    for start, end in zip(starts, ends):
-        group = order[start:end]
-        # Equal scores never beat under Definition 6, so every member
-        # is queried against the pre-group state.
-        for position in group:
-            rule = int(columns.rules[position])
-            present[position] = deconvolve_bernoulli(poly, beaten[rule])
-        divisions += group.size
-        for position in group:
-            rule = int(columns.rules[position])
-            stripped = deconvolve_bernoulli(poly, beaten[rule])
-            divisions += 1
-            beaten[rule] = min(
-                1.0, beaten[rule] + columns.probs[position]
-            )
-            poly = convolve_bernoulli(stripped, beaten[rule])
-        if divisions >= _REBUILD_EVERY:
-            divisions = 0
-            poly = product_polynomial(beaten)
-    return present
 
 
 def tuple_rank_pmf_matrix(

@@ -49,7 +49,7 @@ from repro.exceptions import PruningBoundError, RankingError
 from repro.models.attribute import AttributeLevelRelation, AttributeTuple
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
-from repro.obs import get_registry, profiled
+from repro.obs import get_registry, trace
 from repro.stats.poisson_binomial import binomial_pmf, poisson_binomial_pmf
 
 __all__ = [
@@ -160,7 +160,6 @@ def tuple_expected_ranks(
     return ranks
 
 
-@profiled("t_erank_bfs")
 def tuple_expected_ranks_quadratic(
     relation: TupleLevelRelation,
     *,
@@ -168,28 +167,29 @@ def tuple_expected_ranks_quadratic(
 ) -> dict[str, float]:
     """Brute-force evaluation of equation (7), one pairwise pass per
     tuple — the ``O(N^2)`` comparison point of experiment E7."""
-    _check_ties(ties)
-    positions = {row.tid: index for index, row in enumerate(relation)}
-    expected_world_size = relation.expected_world_size()
-    ranks: dict[str, float] = {}
-    for row in relation:
-        higher_mass = 0.0
-        for other in relation:
-            if other.tid != row.tid and tuple_beats(
-                other, row, positions, ties
-            ):
-                higher_mass += other.probability
-        same_rule_higher, same_rule_total = _rule_aggregates(
-            relation, row, positions, ties
-        )
-        ranks[row.tid] = _expected_rank(
-            row,
-            higher_mass,
-            same_rule_higher,
-            same_rule_total,
-            expected_world_size,
-        )
-    return ranks
+    with trace("t_erank_bfs"):
+        _check_ties(ties)
+        positions = {row.tid: index for index, row in enumerate(relation)}
+        expected_world_size = relation.expected_world_size()
+        ranks: dict[str, float] = {}
+        for row in relation:
+            higher_mass = 0.0
+            for other in relation:
+                if other.tid != row.tid and tuple_beats(
+                    other, row, positions, ties
+                ):
+                    higher_mass += other.probability
+            same_rule_higher, same_rule_total = _rule_aggregates(
+                relation, row, positions, ties
+            )
+            ranks[row.tid] = _expected_rank(
+                row,
+                higher_mass,
+                same_rule_higher,
+                same_rule_total,
+                expected_world_size,
+            )
+        return ranks
 
 
 def _select_top_k(
@@ -363,7 +363,6 @@ def t_erank_prune(
 # ----------------------------------------------------------------------
 # Attribute level: the BFS baseline and the Section 5.2 pruned scans
 # ----------------------------------------------------------------------
-@profiled("a_erank_bfs")
 def attribute_expected_ranks_quadratic(
     relation: AttributeLevelRelation,
     *,
@@ -375,21 +374,22 @@ def attribute_expected_ranks_quadratic(
     ``O(N^2)`` pairwise comparisons — the comparison point of the
     scalability experiment (E3), kept deliberately naive.
     """
-    _check_ties(ties)
-    ranks: dict[str, float] = {}
-    for position, row in enumerate(relation):
-        total = 0.0
-        for other_position, other in enumerate(relation):
-            if other_position == position:
-                continue
-            total += beat_probability(
-                other.score,
-                row.score,
-                challenger_is_earlier=other_position < position,
-                ties=ties,
-            )
-        ranks[row.tid] = total
-    return ranks
+    with trace("a_erank_bfs"):
+        _check_ties(ties)
+        ranks: dict[str, float] = {}
+        for position, row in enumerate(relation):
+            total = 0.0
+            for other_position, other in enumerate(relation):
+                if other_position == position:
+                    continue
+                total += beat_probability(
+                    other.score,
+                    row.score,
+                    challenger_is_earlier=other_position < position,
+                    ties=ties,
+                )
+            ranks[row.tid] = total
+        return ranks
 
 
 class _SeenTuple:

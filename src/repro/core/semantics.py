@@ -99,9 +99,10 @@ def rank(
 def method_supports(method: str, relation: Relation) -> bool:
     """Whether ``method`` can evaluate on ``relation``'s model.
 
-    Determined by a cheap dry-run with ``k=0``/``k=1`` on the metadata
-    path: the only model restriction in the built-in set is
-    probability-only ranking, which rejects attribute-level relations.
+    Decided from the method name alone, without running it: the only
+    model restriction in the built-in set is probability-only ranking,
+    which needs a tuple-level relation.  Raises
+    :class:`UnknownMethodError` for an unregistered name.
     """
     if method not in _REGISTRY:
         raise UnknownMethodError(f"unknown ranking method {method!r}")

@@ -40,7 +40,7 @@ from repro.core.result import TopKResult, top_k_result
 from repro.exceptions import RankingError
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.tuple_level import TupleLevelRelation
-from repro.obs import count, get_registry, profiled
+from repro.obs import count, get_registry, trace
 
 __all__ = [
     "tuple_expected_ranks",
@@ -136,19 +136,19 @@ def _access_ranks(
     return ranks, above
 
 
-@profiled("t_erank")
 def _expected_rank_vector(
     relation: TupleLevelRelation, ties: TieRule
 ) -> tuple[TupleColumns, np.ndarray]:
     """The relation's columns and every expected rank, by position."""
-    _check_ties(ties)
-    columns = relation.columns()
-    count("t_erank.tuples_accessed", columns.size)
-    ranks = np.empty(columns.size)
-    ranks[columns.order] = _access_ranks(
-        columns, ties, columns.size, _same_rule_terms(columns, ties)
-    )[0]
-    return columns, ranks
+    with trace("t_erank"):
+        _check_ties(ties)
+        columns = relation.columns()
+        count("t_erank.tuples_accessed", columns.size)
+        ranks = np.empty(columns.size)
+        ranks[columns.order] = _access_ranks(
+            columns, ties, columns.size, _same_rule_terms(columns, ties)
+        )[0]
+        return columns, ranks
 
 
 def tuple_expected_ranks(
@@ -264,7 +264,6 @@ def _trajectory(
     return tuple(points)
 
 
-@profiled("t_erank_prune")
 def t_erank_prune(
     relation: TupleLevelRelation,
     k: int,
@@ -284,46 +283,47 @@ def t_erank_prune(
     paper's ``q_n - 1`` when scores are distinct, and still sound in
     the presence of ties under either tie rule.
     """
-    if k < 0:
-        raise RankingError(f"k must be >= 0, got {k!r}")
-    _check_ties(ties)
-    columns = relation.columns()
-    size = columns.size
-    trajectory: tuple[dict, ...] = ()
-    if k == 0:
-        # k = 0 halts after the first access, before any bound check.
-        accessed = min(size, 1)
-        halted_early = accessed == 1
-        ranks = _access_ranks(
-            columns, ties, accessed, _same_rule_terms(columns, ties)
-        )[0]
-    else:
-        accessed, halted_early, ranks, above = _scan(columns, ties, k)
-        if get_registry().enabled:
-            trajectory = _trajectory(
-                ranks, above, k, accessed, halted_early, size
-            )
+    with trace("t_erank_prune"):
+        if k < 0:
+            raise RankingError(f"k must be >= 0, got {k!r}")
+        _check_ties(ties)
+        columns = relation.columns()
+        size = columns.size
+        trajectory: tuple[dict, ...] = ()
+        if k == 0:
+            # k = 0 halts after the first access, before any bound check.
+            accessed = min(size, 1)
+            halted_early = accessed == 1
+            ranks = _access_ranks(
+                columns, ties, accessed, _same_rule_terms(columns, ties)
+            )[0]
+        else:
+            accessed, halted_early, ranks, above = _scan(columns, ties, k)
+            if get_registry().enabled:
+                trajectory = _trajectory(
+                    ranks, above, k, accessed, halted_early, size
+                )
 
-    count("t_erank_prune.tuples_accessed", accessed)
-    if halted_early:
-        count("t_erank_prune.halted_early")
-    order = columns.order[:accessed]
-    seen = ranks[:accessed]
-    seen_tids = [columns.tids[index] for index in order.tolist()]
-    by_position = np.argsort(order)
-    metadata: dict[str, object] = {
-        "tuples_accessed": accessed,
-        "halted_early": halted_early,
-        "exact": True,  # seen ranks are exact, and the top-k is global
-        "ties": ties,
-    }
-    if get_registry().enabled:
-        metadata["prune_trajectory"] = trajectory
-    return top_k_result(
-        "expected_rank_prune",
-        k,
-        [seen_tids[index] for index in by_position.tolist()],
-        seen[by_position],
-        dict(zip(seen_tids, seen.tolist())),
-        metadata,
-    )
+        count("t_erank_prune.tuples_accessed", accessed)
+        if halted_early:
+            count("t_erank_prune.halted_early")
+        order = columns.order[:accessed]
+        seen = ranks[:accessed]
+        seen_tids = [columns.tids[index] for index in order.tolist()]
+        by_position = np.argsort(order)
+        metadata: dict[str, object] = {
+            "tuples_accessed": accessed,
+            "halted_early": halted_early,
+            "exact": True,  # seen ranks are exact, and the top-k is global
+            "ties": ties,
+        }
+        if get_registry().enabled:
+            metadata["prune_trajectory"] = trajectory
+        return top_k_result(
+            "expected_rank_prune",
+            k,
+            [seen_tids[index] for index in by_position.tolist()],
+            seen[by_position],
+            dict(zip(seen_tids, seen.tolist())),
+            metadata,
+        )

@@ -39,7 +39,7 @@ from repro.core.tuple_expected_rank import tuple_expected_ranks
 from repro.exceptions import RankingError
 from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
-from repro.obs import count, profiled
+from repro.obs import count, trace
 from repro.stats.poisson_binomial import (
     mixture_pmf,
     poisson_binomial_pmf,
@@ -168,7 +168,6 @@ def tuple_rank_distributions(
     return _rank_distributions(relation, ties)
 
 
-@profiled("t_mqrank")
 def t_mqrank(
     relation: TupleLevelRelation,
     k: int,
@@ -177,7 +176,8 @@ def t_mqrank(
     ties: TieRule = "by_index",
 ) -> TopKResult:
     """Exact top-k by the ``phi``-quantile of the rank distribution."""
-    return _quantile_topk("t_mqrank", relation, k, phi, ties)
+    with trace("t_mqrank"):
+        return _quantile_topk("t_mqrank", relation, k, phi, ties)
 
 
 def _seen_quantile_upper(
@@ -206,7 +206,6 @@ def _seen_quantile_upper(
     return max_rank
 
 
-@profiled("t_mqrank_prune")
 def t_mqrank_prune(
     relation: TupleLevelRelation,
     k: int,
@@ -225,98 +224,101 @@ def t_mqrank_prune(
     seen members) — a surrogate, like the paper's curtailed A-ERank-
     Prune answer.
     """
-    if k < 0:
-        raise RankingError(f"k must be >= 0, got {k!r}")
-    if not 0.0 < phi < 1.0:
-        raise RankingError(
-            f"phi must be in (0, 1) for the pruned variant, got {phi!r}"
-        )
-    _check_ties(ties)
-    if check_every < 1:
-        raise RankingError(f"check_every must be >= 1, got {check_every!r}")
-
-    positions = {row.tid: index for index, row in enumerate(relation)}
-    ordered = relation.order_by_score()
-    expected_world_size = relation.expected_world_size()
-    total = relation.size
-
-    seen_rows: list[TupleLevelTuple] = []
-    halted_early = False
-
-    for scanned, row in enumerate(ordered, start=1):
-        seen_rows.append(row)
-        n = len(seen_rows)
-        if n < max(k, 1) or n == total or scanned % check_every:
-            continue
-        if k == 0:
-            halted_early = True
-            break
-
-        current_score = row.score
-        # Per-rule mass of seen tuples with score strictly above the
-        # current one — these beat every unseen tuple under either tie
-        # rule.
-        strict_mass: dict[str, float] = {}
-        for candidate in seen_rows:
-            if candidate.score > current_score:
-                rule_id = relation.rule_of(candidate.tid).rule_id
-                strict_mass[rule_id] = (
-                    strict_mass.get(rule_id, 0.0) + candidate.probability
-                )
-        masses = sorted(strict_mass.values(), reverse=True)
-        # An unseen tuple's own rule is unknown; drop the heaviest.
-        unseen_pmf = poisson_binomial_pmf(masses[1:])
-        lower = poisson_binomial_quantile(unseen_pmf, phi)
-
-        # Candidate seen tuples: the k with the smallest exact
-        # expected ranks among the seen prefix (a cheap heuristic —
-        # correctness rests on the bounds, not the choice).
-        curtailed = relation.curtailed(row.tid for row in seen_rows)
-        candidate_ranks = tuple_expected_ranks(curtailed, ties=ties)
-        candidates = heapq.nsmallest(
-            k, candidate_ranks.items(), key=lambda item: item[1]
-        )
-        uppers: list[int] = []
-        for tid, _ in candidates:
-            candidate_row = relation.tuple_by_id(tid)
-            own_rule_id = relation.rule_of(tid).rule_id
-            beat_mass: dict[str, float] = {}
-            for other in seen_rows:
-                other_rule_id = relation.rule_of(other.tid).rule_id
-                if other_rule_id == own_rule_id:
-                    continue
-                if tuple_beats(other, candidate_row, positions, ties):
-                    beat_mass[other_rule_id] = (
-                        beat_mass.get(other_rule_id, 0.0)
-                        + other.probability
-                    )
-            present_pmf = poisson_binomial_pmf(beat_mass.values())
-            uppers.append(
-                _seen_quantile_upper(
-                    candidate_row,
-                    present_pmf,
-                    expected_world_size,
-                    phi,
-                    total - 1,
-                )
+    with trace("t_mqrank_prune"):
+        if k < 0:
+            raise RankingError(f"k must be >= 0, got {k!r}")
+        if not 0.0 < phi < 1.0:
+            raise RankingError(
+                f"phi must be in (0, 1) for the pruned variant, got {phi!r}"
             )
-        if uppers and max(uppers) < lower:
-            halted_early = True
-            break
+        _check_ties(ties)
+        if check_every < 1:
+            raise RankingError(
+                f"check_every must be >= 1, got {check_every!r}"
+            )
 
-    count("t_mqrank_prune.tuples_accessed", len(seen_rows))
-    if halted_early:
-        count("t_mqrank_prune.halted_early")
-    curtailed = relation.curtailed(row.tid for row in seen_rows)
-    return replace(
-        t_mqrank(curtailed, k, phi=phi, ties=ties),
-        method=f"{_method_name(phi)}_prune",
-        metadata={
-            "tuples_accessed": len(seen_rows),
-            "halted_early": halted_early,
-            "exact": len(seen_rows) == total,
-            "phi": phi,
-            "ties": ties,
-        },
-    )
+        positions = {row.tid: index for index, row in enumerate(relation)}
+        ordered = relation.order_by_score()
+        expected_world_size = relation.expected_world_size()
+        total = relation.size
+
+        seen_rows: list[TupleLevelTuple] = []
+        halted_early = False
+
+        for scanned, row in enumerate(ordered, start=1):
+            seen_rows.append(row)
+            n = len(seen_rows)
+            if n < max(k, 1) or n == total or scanned % check_every:
+                continue
+            if k == 0:
+                halted_early = True
+                break
+
+            current_score = row.score
+            # Per-rule mass of seen tuples with score strictly above the
+            # current one — these beat every unseen tuple under either tie
+            # rule.
+            strict_mass: dict[str, float] = {}
+            for candidate in seen_rows:
+                if candidate.score > current_score:
+                    rule_id = relation.rule_of(candidate.tid).rule_id
+                    strict_mass[rule_id] = (
+                        strict_mass.get(rule_id, 0.0) + candidate.probability
+                    )
+            masses = sorted(strict_mass.values(), reverse=True)
+            # An unseen tuple's own rule is unknown; drop the heaviest.
+            unseen_pmf = poisson_binomial_pmf(masses[1:])
+            lower = poisson_binomial_quantile(unseen_pmf, phi)
+
+            # Candidate seen tuples: the k with the smallest exact
+            # expected ranks among the seen prefix (a cheap heuristic —
+            # correctness rests on the bounds, not the choice).
+            curtailed = relation.curtailed(row.tid for row in seen_rows)
+            candidate_ranks = tuple_expected_ranks(curtailed, ties=ties)
+            candidates = heapq.nsmallest(
+                k, candidate_ranks.items(), key=lambda item: item[1]
+            )
+            uppers: list[int] = []
+            for tid, _ in candidates:
+                candidate_row = relation.tuple_by_id(tid)
+                own_rule_id = relation.rule_of(tid).rule_id
+                beat_mass: dict[str, float] = {}
+                for other in seen_rows:
+                    other_rule_id = relation.rule_of(other.tid).rule_id
+                    if other_rule_id == own_rule_id:
+                        continue
+                    if tuple_beats(other, candidate_row, positions, ties):
+                        beat_mass[other_rule_id] = (
+                            beat_mass.get(other_rule_id, 0.0)
+                            + other.probability
+                        )
+                present_pmf = poisson_binomial_pmf(beat_mass.values())
+                uppers.append(
+                    _seen_quantile_upper(
+                        candidate_row,
+                        present_pmf,
+                        expected_world_size,
+                        phi,
+                        total - 1,
+                    )
+                )
+            if uppers and max(uppers) < lower:
+                halted_early = True
+                break
+
+        count("t_mqrank_prune.tuples_accessed", len(seen_rows))
+        if halted_early:
+            count("t_mqrank_prune.halted_early")
+        curtailed = relation.curtailed(row.tid for row in seen_rows)
+        return replace(
+            t_mqrank(curtailed, k, phi=phi, ties=ties),
+            method=f"{_method_name(phi)}_prune",
+            metadata={
+                "tuples_accessed": len(seen_rows),
+                "halted_early": halted_early,
+                "exact": len(seen_rows) == total,
+                "phi": phi,
+                "ties": ties,
+            },
+        )
 

@@ -4,15 +4,13 @@ T-ERank-Prune needs ``E[|W|]`` before the scan starts, and the paper
 notes it "can be efficiently maintained in O(1) time when D is updated
 with deletion or insertion of tuples" because it is just the sum of
 membership probabilities.  :class:`MaintainedTupleStore` provides that
-contract: an updatable tuple-level relation that keeps
-
-* ``E[|W|]`` under insert / delete / probability updates in ``O(1)``,
-* the score-sorted order under updates in ``O(log N)`` amortised
-  (a sorted key list with bisection),
-
-and materialises an immutable :class:`TupleLevelRelation` snapshot on
-demand for querying.  Rule membership is declared at insert time; a
-rule's remaining members keep their semantics when one is deleted.
+contract: an updatable tuple-level relation that keeps ``E[|W|]``
+under insert / delete / probability updates in ``O(1)``, and
+materialises an immutable :class:`TupleLevelRelation` snapshot on
+demand for querying.  No score order is kept under writes (neither a
+snapshot nor its columns reads one); :meth:`score_order` sorts on
+demand.  Rule membership is declared at insert time; a rule's
+remaining members keep their semantics when one is deleted.
 
 A snapshot's Python work is proportional to the change since the last
 one: rows are kept in a dict in insertion order (an update keeps the
@@ -33,8 +31,8 @@ change.  The digest shares the rows' and rules' kept JSON fragments
 
 from __future__ import annotations
 
-import bisect
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, cast
 
 import numpy as np
@@ -95,10 +93,7 @@ class MaintainedTupleStore:
         # every snapshot, so a version shares it with the one before.
         self._explicit: tuple[ExclusionRule, ...] | None = ()
         self._expected_world_size = 0.0
-        # Sorted (negative score, insertion counter, tid) keys so the
-        # score-descending order is maintained under updates.
-        self._sorted_keys: list[tuple[float, int, str]] = []
-        self._key_of: dict[str, tuple[float, int, str]] = {}
+        # Insertions so far; stamps each new rule's ``_rule_born``.
         self._counter = 0
         # Column hand-off (see snapshot()): the last snapshot, the base,
         # and the writes since the base, or since the last snapshot
@@ -147,10 +142,7 @@ class MaintainedTupleStore:
         self._membership_changed(rule_id, members)
         self._rule_mass[rule_id] = new_mass
         self._expected_world_size += row.probability
-        key = (-row.score, self._counter, tid)
         self._counter += 1
-        bisect.insort(self._sorted_keys, key)
-        self._key_of[tid] = key
         self._logged("insert", tid)
 
     def delete(self, tid: str) -> None:
@@ -180,22 +172,15 @@ class MaintainedTupleStore:
         self._logged("update", tid)
 
     def update_score(self, tid: str, score: float) -> None:
-        """Change a score; the sorted order is repaired by re-keying.
+        """Change a score in ``O(1)``.
 
-        The tuple keeps its insertion counter, so its place in the
-        tie-break order (and in a snapshot) does not move.
+        The tuple keeps its place in insertion order, so its place in
+        the tie-break order (and in a snapshot) does not move.
         """
         row = self._require(tid)
-        updated = TupleLevelTuple(
+        self._rows[tid] = TupleLevelTuple(
             tid, score, row.probability, row.attributes
         )
-        old_key = self._key_of.pop(tid)
-        index = bisect.bisect_left(self._sorted_keys, old_key)
-        del self._sorted_keys[index]
-        key = (-score, old_key[1], tid)
-        bisect.insort(self._sorted_keys, key)
-        self._key_of[tid] = key
-        self._rows[tid] = updated
         self._logged("update", tid)
 
     def _logged(self, kind: str, tid: str) -> None:
@@ -227,9 +212,6 @@ class MaintainedTupleStore:
             del self._rule_members[rule_id]
             del self._rule_mass[rule_id]
             del self._rule_born[rule_id]
-        key = self._key_of.pop(tid)
-        index = bisect.bisect_left(self._sorted_keys, key)
-        del self._sorted_keys[index]
         return row
 
     def _membership_changed(self, rule_id: str, members: list[str]) -> None:
@@ -273,8 +255,15 @@ class MaintainedTupleStore:
         return self._expected_world_size
 
     def score_order(self) -> list[str]:
-        """Tuple ids by decreasing score (insertion tie-break)."""
-        return [tid for _, _, tid in self._sorted_keys]
+        """Tuple ids by decreasing score (insertion tie-break).
+
+        Sorted on demand, ``O(N log N)``: the sort is stable, and the
+        rows are kept in insertion order.
+        """
+        rows = sorted(
+            self._rows.values(), key=attrgetter("score"), reverse=True
+        )
+        return [row.tid for row in rows]
 
     def snapshot(self) -> TupleLevelRelation:
         """An immutable relation reflecting the current contents.
@@ -422,11 +411,6 @@ class MaintainedTupleStore:
                 f"{self._expected_world_size!r} vs recomputed "
                 f"{recomputed!r}"
             )
-        if sorted(self._key_of.values()) != self._sorted_keys:
-            raise EngineError("sorted key index out of sync")
-        counters = [self._key_of[tid][1] for tid in self._rows]
-        if any(a >= b for a, b in zip(counters, counters[1:])):
-            raise EngineError("rows out of insertion order")
         multi = [
             rule_id
             for rule_id, members in self._rule_members.items()

@@ -1,13 +1,14 @@
-"""Observability: metrics, spans, and the ``@profiled`` decorator.
+"""Observability: metrics, spans, capture, and the admin-plane views.
 
 The layer the benchmarks, the CLI and CI's perf smoke all read from:
 
 * :class:`MetricsRegistry` — process-local counters, gauges, and
-  histogram timers (:mod:`repro.obs.metrics`);
+  histograms (:mod:`repro.obs.metrics`);
 * :func:`trace` — spans with pluggable sinks: no-op, stdlib logging,
-  or JSON lines (:mod:`repro.obs.trace`);
-* :func:`profiled` — wall time + call counts per function
-  (:mod:`repro.obs.profile`);
+  or JSON lines (:mod:`repro.obs.trace`).  Spans are the one wall
+  timer: each ranking kernel opens one (``with trace("t_erank"):``),
+  so its time is the ``span.<name>.seconds`` histogram and its call
+  count that histogram's ``count``;
 * :func:`explain` — one query run under a fresh registry, folded into
   a schema-validated :class:`ExplainReport`
   (:mod:`repro.obs.explain`);
@@ -118,7 +119,6 @@ from repro.obs.metrics import (
     metrics_enabled,
     set_registry,
 )
-from repro.obs.profile import profiled
 from repro.obs.profiler import SamplingProfiler, validate_speedscope
 from repro.obs.trace import (
     JsonlSink,
@@ -182,7 +182,6 @@ __all__ = [
     "notify_anomaly",
     "parse_prometheus",
     "parse_slo_specs",
-    "profiled",
     "query_scope",
     "read_jsonl",
     "relation_digest",

@@ -1,7 +1,8 @@
-"""Process-local metrics: counters, gauges, and histogram timers.
+"""Process-local metrics: counters, gauges, and histograms.
 
 The registry is the single collection point for everything the library
-observes about itself — call counts, wall-clock timings, and the
+observes about itself — event counts, span durations (recorded by
+:mod:`repro.obs.trace`, the one wall timer), and the
 paper's own cost metric, tuples accessed (Sections 5.2/6.2 motivate
 pruning entirely through that count).  Two design rules keep it safe
 to thread through the hot kernels:
@@ -27,8 +28,6 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_left
-from time import perf_counter
-from types import TracebackType
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -115,28 +114,6 @@ class Gauge:
         self.value = None
 
 
-class _Timing:
-    """Context manager that feeds elapsed seconds into a histogram."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: "Histogram") -> None:
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_Timing":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        traceback: TracebackType | None,
-    ) -> None:
-        self._histogram.observe(perf_counter() - self._start)
-
-
 class Histogram:
     """Aggregate distribution summary with fixed log-spaced buckets.
 
@@ -214,10 +191,6 @@ class Histogram:
     def exemplars(self) -> dict[int, tuple[Labels, float]]:
         """Per-bucket-index ``(labels, value)`` exemplars recorded."""
         return dict(self._exemplars)
-
-    def time(self) -> _Timing:
-        """``with histogram.time(): ...`` records the block's seconds."""
-        return _Timing(self)
 
     @property
     def mean(self) -> float:
@@ -302,16 +275,6 @@ class Histogram:
         }
 
 
-class _NullContext:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
 class _NullCounter:
     """Shared do-nothing counter handed out by a disabled registry."""
 
@@ -362,9 +325,6 @@ class _NullHistogram:
     def exemplars(self) -> dict:
         return {}
 
-    def time(self) -> _NullContext:
-        return _NULL_CONTEXT
-
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         return [(float("inf"), 0)]
 
@@ -382,7 +342,6 @@ class _NullHistogram:
                 "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
 
 
-_NULL_CONTEXT = _NullContext()
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()
@@ -522,12 +481,6 @@ class MetricsRegistry:
                     key, Histogram(name, labels=canonical)
                 )
         return instrument
-
-    def timer(self, name: str) -> _Timing | _NullContext:
-        """``with registry.timer("x"): ...`` — histogram sugar."""
-        if not self.enabled:
-            return _NULL_CONTEXT
-        return self.histogram(name).time()
 
     def snapshot(self) -> dict[str, dict]:
         """All instruments as one JSON-serialisable dict."""

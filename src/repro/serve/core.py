@@ -39,6 +39,7 @@ skews accounting by one call at worst, never an answer.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -391,8 +392,15 @@ class ServingCore:
             EngineError("serve leader aborted before resolving"),
         )
         try:
+            # The worker runs in a copy of this context, so the query
+            # stays in the request's trace (and tenant) instead of
+            # minting a trace of its own.
             answered = await loop.run_in_executor(
-                self._pool, self._run_query, request, deadline
+                self._pool,
+                contextvars.copy_context().run,
+                self._run_query,
+                request,
+                deadline,
             )
             outcome = ("ok", answered)
         except (ReproError, OSError) as error:

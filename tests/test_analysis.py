@@ -445,6 +445,20 @@ class TestCallGraph:
         assert "repro.helpers.fetch" in loop
         assert thread == {"repro.serve_mod.grind"}
 
+    def test_context_run_dispatch_colors_its_argument(self):
+        ctx = _context(
+            "import contextvars\n"
+            "def offload(loop, work):\n"
+            "    return loop.run_in_executor(\n"
+            "        None, contextvars.copy_context().run, grind, work\n"
+            "    )\n"
+            "def grind(work):\n"
+            "    return work\n",
+            "repro/dispatch.py",
+        )
+        index = ProjectIndex.build([ctx])
+        assert index.thread_colored() == {"repro.dispatch.grind"}
+
     def test_cycles_terminate(self):
         ctx = _context(
             "import time\n"

@@ -176,7 +176,8 @@ def test_prune_counters_match_the_scan(name, prune):
     assert counters[f"{name}.tuples_accessed"] == (
         result.metadata["tuples_accessed"]
     )
-    assert counters[f"{name}.calls"] == 1
+    spans = registry.snapshot()["histograms"]
+    assert spans[f"span.{name}.seconds"]["count"] == 1
     assert counters.get(f"{name}.halted_early", 0) == int(
         result.metadata["halted_early"]
     )

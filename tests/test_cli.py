@@ -398,11 +398,12 @@ class TestMetricsOut:
             line["name"] for line in lines if line["type"] == "span"
         ]
         assert "cli.topk" in span_names
+        assert "a_erank" in span_names
         counters = lines[-1]["counters"]
-        assert counters["a_erank.calls"] == 1
+        histograms = lines[-1]["histograms"]
+        assert histograms["span.a_erank.seconds"]["count"] == 1
         # Figure 2 relation: the exact pass reads all three tuples.
         assert counters["a_erank.tuples_accessed"] == 3
-        assert "a_erank.seconds" in lines[-1]["histograms"]
 
     def test_main_restores_ambient_observability(
         self, attribute_csv, tmp_path, capsys
@@ -458,9 +459,8 @@ class TestMetricsFormat:
         assert code == 0
         capsys.readouterr()
         families = parse_prometheus(out.read_text())
-        assert "repro_a_erank_calls_total" in families
-        assert "repro_a_erank_seconds" in families
-        assert families["repro_a_erank_seconds"]["type"] == "histogram"
+        kernel = families["repro_span_a_erank_seconds"]
+        assert kernel["type"] == "histogram"
 
     def test_prom_without_metrics_out_is_usage_error(
         self, attribute_csv, capsys

@@ -85,6 +85,9 @@ class TestExplainReport:
         report = explain(workload, 5)
         assert "explain.query" in report.stages
         assert "query.execute" in report.stages
+        # The kernel's own span: the planner picked the pruned scan.
+        assert report.plan["method"] == "expected_rank_prune"
+        assert report.stages["t_erank_prune"]["count"] == 1
         for stage in report.stages.values():
             assert stage["count"] >= 1
             assert {"p50", "p95", "p99"} <= set(stage)

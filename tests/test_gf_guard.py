@@ -220,7 +220,8 @@ class TestGuardedRead:
         # table under a leaking absent branch is built once and kept.
         kernel = "a_mqrank_gf" if model == "attribute" else "t_mqrank_gf"
         sweeps = 1 if seam == "_with_absent_branch" else 2
-        assert counters[f"{kernel}.calls"] == sweeps
+        histograms = registry.snapshot()["histograms"]
+        assert histograms[f"span.{kernel}.seconds"]["count"] == sweeps
 
     def test_a_leaking_absent_branch_is_not_kept(
         self, registry, monkeypatch

@@ -1,4 +1,4 @@
-"""The observability layer: registry, spans, sinks, ``@profiled``."""
+"""The observability layer: registry, spans, sinks, kernel spans."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.core.tuple_expected_rank import (
 )
 from repro.engine.access import AccessCounter, score_cursor
 from repro.engine.query import TopKPlanner
+from repro.exceptions import RankingError
 from repro.obs import (
     JsonlSink,
     LoggingSink,
@@ -25,7 +26,6 @@ from repro.obs import (
     emit_event,
     metrics_enabled,
     parse_prometheus,
-    profiled,
     set_registry,
     set_sink,
     to_prometheus,
@@ -78,13 +78,6 @@ class TestRegistry:
         assert histogram.max == 4.0
         assert histogram.mean == pytest.approx(7.0 / 3.0)
 
-    def test_timer_records_into_histogram(self, registry):
-        with registry.timer("t"):
-            pass
-        summary = registry.histogram("t").summary()
-        assert summary["count"] == 1
-        assert summary["total"] >= 0.0
-
     def test_snapshot_is_plain_json_data(self, registry):
         registry.counter("c").inc(2)
         registry.gauge("g").set(3.0)
@@ -113,8 +106,6 @@ class TestDisabledMode:
         registry.counter("c").inc(5)
         registry.gauge("g").set(1.0)
         registry.histogram("h").observe(2.0)
-        with registry.timer("t"):
-            pass
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {}
         assert snapshot["histograms"] == {}
@@ -138,15 +129,27 @@ class TestDisabledMode:
             registry.snapshot()["histograms"]
         )
 
-    def test_profiled_skips_bookkeeping_while_disabled(self, registry):
+    def test_kernel_off_path_records_nothing(self, registry, fig4):
         registry.disable()
+        sink = _Capture()
+        set_sink(sink)
+        assert t_erank_prune(fig4, 2).items
+        assert tuple_expected_ranks(fig4)
+        registry.enable()
+        snapshot = registry.snapshot()
+        assert snapshot["counters"] == {}
+        assert snapshot["histograms"] == {}
+        assert sink.records == []
 
-        @profiled("probe")
-        def work():
-            return 42
-
-        assert work() == 42
-        assert registry.snapshot()["counters"] == {}
+    def test_disabled_kernel_error_passes_through(self, registry, fig4):
+        registry.disable()
+        sink = _Capture()
+        set_sink(sink)
+        with pytest.raises(RankingError, match="k must be >= 0"):
+            t_erank_prune(fig4, -1)
+        registry.enable()
+        assert registry.snapshot()["histograms"] == {}
+        assert sink.records == []
 
     def test_configure_round_trip(self, registry):
         configure(enabled=False)
@@ -188,6 +191,8 @@ class TestSpans:
             with trace("boom"):
                 raise ValueError("bad")
         assert captured[0]["error"] == "ValueError: bad"
+        histograms = registry.snapshot()["histograms"]
+        assert histograms["span.boom.seconds"]["count"] == 1
 
     def test_logging_sink_emits_one_record(self, registry, caplog):
         set_sink(LoggingSink())
@@ -218,38 +223,6 @@ class TestSpans:
         assert lines[0]["duration_seconds"] >= 0.0
 
 
-class TestProfiled:
-    def test_records_calls_and_seconds(self, registry):
-        @profiled("unit")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert work(2) == 3
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["unit.calls"] == 2
-        assert snapshot["histograms"]["unit.seconds"]["count"] == 2
-
-    def test_bare_decorator_derives_name(self, registry):
-        @profiled
-        def derived():
-            return None
-
-        derived()
-        assert "test_obs.derived.calls" in (
-            registry.snapshot()["counters"]
-        )
-
-    def test_records_even_when_function_raises(self, registry):
-        @profiled("fails")
-        def explode():
-            raise RuntimeError("nope")
-
-        with pytest.raises(RuntimeError):
-            explode()
-        assert registry.snapshot()["counters"]["fails.calls"] == 1
-
-
 class TestKernelInstrumentation:
     def test_t_erank_records_tuples_accessed(self, registry, fig4):
         ranks = tuple_expected_ranks(fig4)
@@ -257,8 +230,23 @@ class TestKernelInstrumentation:
         snapshot = registry.snapshot()
         # The exact pass reads every tuple of the Figure 4 relation.
         assert snapshot["counters"]["t_erank.tuples_accessed"] == 4
-        assert snapshot["counters"]["t_erank.calls"] == 1
-        assert snapshot["histograms"]["t_erank.seconds"]["count"] == 1
+        # One kernel call is one span: its histogram count is the
+        # call count.
+        assert snapshot["histograms"]["span.t_erank.seconds"]["count"] == 1
+
+    def test_kernel_span_nests_in_the_query_trace(self, registry, fig4):
+        sink = _Capture()
+        set_sink(sink)
+        TopKPlanner().execute(fig4, 2)
+        spans = {record["span_id"]: record for record in sink.records}
+        (kernel,) = [s for s in spans.values() if s["name"] == "t_erank"]
+        (root,) = [s for s in spans.values() if s["parent_id"] is None]
+        assert root["name"] == "query.execute"
+        assert kernel["trace_id"] == root["trace_id"]
+        ancestor = kernel
+        while ancestor["parent_id"] is not None:
+            ancestor = spans[ancestor["parent_id"]]
+        assert ancestor is root
 
     def test_prune_counter_matches_result_metadata(self, registry, fig4):
         result = t_erank_prune(fig4, 2)
@@ -286,6 +274,37 @@ class TestKernelInstrumentation:
         registry.disable()
         disabled = tuple_expected_ranks(fig4)
         assert enabled == disabled
+
+
+class TestKernelSpans:
+    """A kernel's span is its timer: count is calls, sum is seconds."""
+
+    def test_kernel_span_records_calls_and_seconds(self, registry, fig4):
+        t_erank_prune(fig4, 1)
+        t_erank_prune(fig4, 2)
+        histograms = registry.snapshot()["histograms"]
+        summary = histograms["span.t_erank_prune.seconds"]
+        assert summary["count"] == 2
+        assert summary["total"] >= 0.0
+        # The span histogram is the only timer: no separate
+        # ``<kernel>.calls`` / ``<kernel>.seconds`` instruments.
+        assert "t_erank_prune.seconds" not in histograms
+        assert "t_erank_prune.calls" not in (
+            registry.snapshot()["counters"]
+        )
+
+    def test_kernel_span_records_even_when_kernel_raises(
+        self, registry, fig4
+    ):
+        sink = _Capture()
+        set_sink(sink)
+        with pytest.raises(RankingError):
+            t_erank_prune(fig4, -1)
+        histograms = registry.snapshot()["histograms"]
+        assert histograms["span.t_erank_prune.seconds"]["count"] == 1
+        (span,) = sink.records
+        assert span["name"] == "t_erank_prune"
+        assert span["error"].startswith("RankingError")
 
 
 class TestAccessCounter:
@@ -632,66 +651,6 @@ class TestJsonlSinkConcurrency:
         ]
         # Each thread's root span minted its own trace id.
         assert len({line["trace_id"] for line in lines}) == 6
-
-
-class TestProfiledGenerator:
-    def test_generator_counts_one_call_and_times_iteration(
-        self, registry
-    ):
-        @profiled("gen")
-        def stream(n):
-            for index in range(n):
-                yield index
-
-        assert list(stream(4)) == [0, 1, 2, 3]
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["gen.calls"] == 1
-        assert snapshot["histograms"]["gen.seconds"]["count"] == 1
-
-    def test_generator_still_lazy_when_profiled(self, registry):
-        pulled = []
-
-        @profiled("lazy")
-        def stream():
-            for index in range(100):
-                pulled.append(index)
-                yield index
-
-        iterator = stream()
-        assert pulled == []
-        assert next(iterator) == 0
-        assert pulled == [0]
-        iterator.close()
-        # Early close still lands the timing observation.
-        assert (
-            registry.snapshot()["histograms"]["lazy.seconds"]["count"]
-            == 1
-        )
-
-    def test_generator_exception_still_records(self, registry):
-        @profiled("bad")
-        def stream():
-            yield 1
-            raise RuntimeError("mid-iteration")
-
-        iterator = stream()
-        assert next(iterator) == 1
-        with pytest.raises(RuntimeError):
-            next(iterator)
-        snapshot = registry.snapshot()
-        assert snapshot["counters"]["bad.calls"] == 1
-        assert snapshot["histograms"]["bad.seconds"]["count"] == 1
-
-    def test_disabled_generator_passthrough(self, registry):
-        registry.disable()
-
-        @profiled("off")
-        def stream():
-            yield from range(3)
-
-        assert list(stream()) == [0, 1, 2]
-        registry.enable()
-        assert registry.snapshot()["counters"] == {}
 
 
 class TestPruneTrajectory:

@@ -21,7 +21,12 @@ from repro.exceptions import (
     OverloadedError,
     SchemaError,
 )
-from repro.obs import MetricsRegistry, answer_digest, set_registry
+from repro.obs import (
+    MetricsRegistry,
+    answer_digest,
+    set_registry,
+    set_sink,
+)
 from repro.robust import FaultInjector, RetryPolicy
 from repro.serve import (
     AdmissionController,
@@ -274,6 +279,39 @@ class TestServingCore:
         counters = registry.snapshot()["counters"]
         assert counters["serve.coalesced"] == 5
         assert counters["serve.coalesce.leaders"] == 1
+
+    def test_one_request_is_one_trace(self, db, registry):
+        records = []
+
+        class Capture:
+            def emit(self, record):
+                records.append(record)
+
+        core = make_core(db)
+
+        async def scenario():
+            response = await core.submit(
+                ServeRequest(relation="fig2", k=2)
+            )
+            await core.drain()
+            return response
+
+        previous = set_sink(Capture())
+        try:
+            response = asyncio.run(scenario())
+        finally:
+            set_sink(previous)
+        assert response.status == "ok"
+        spans = [r for r in records if r["type"] == "span"]
+        assert {span["trace_id"] for span in spans} == {
+            response.trace_id
+        }
+        by_name = {span["name"]: span for span in spans}
+        assert {"db.topk", "a_erank"} <= set(by_name)
+        assert (
+            by_name["db.topk"]["parent_id"]
+            == by_name["serve.request"]["span_id"]
+        )
 
     def test_coalescing_can_be_disabled(self, db, registry):
         core = make_core(db, coalesce=False)

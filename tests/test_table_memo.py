@@ -111,9 +111,9 @@ def registry():
 
 
 def _builds(registry) -> dict[str, int]:
-    counters = registry.snapshot()["counters"]
+    histograms = registry.snapshot()["histograms"]
     return {
-        name: counters.get(f"{name}.calls", 0)
+        name: histograms.get(f"span.{name}.seconds", {}).get("count", 0)
         for name in ("a_mqrank_gf", "t_mqrank_gf")
     }
 

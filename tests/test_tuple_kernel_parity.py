@@ -189,7 +189,8 @@ def test_prune_counters_match_the_scan(fig4):
     assert counters["t_erank_prune.tuples_accessed"] == (
         result.metadata["tuples_accessed"]
     )
-    assert counters["t_erank_prune.calls"] == 1
+    spans = registry.snapshot()["histograms"]
+    assert spans["span.t_erank_prune.seconds"]["count"] == 1
     assert counters.get("t_erank_prune.halted_early", 0) == int(
         result.metadata["halted_early"]
     )

@@ -559,8 +559,9 @@ def mass_violation(
     exceeds ``tol`` (numerical distress), else ``None``.  A relation's
     rank tables are checked with this once, when they are built, and a
     distressed one is never handed out: the guarded read replaces it
-    with the legacy DP's table.  :func:`rank_quantiles` silently
-    renormalizes rows, so it must only see checked tables.
+    with the legacy DP's table.  The cdf builder behind
+    :func:`rank_quantiles` silently renormalizes rows, so a kept cdf is
+    only ever built from a checked table.
     """
     if matrix.shape[0] == 0:
         return None
@@ -585,10 +586,27 @@ def rank_quantiles(matrix: np.ndarray, phi: float) -> np.ndarray:
     """
     if not 0.0 < phi <= 1.0:
         raise RankingError(f"phi must be in (0, 1], got {phi!r}")
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
+    return _quantiles_of(_cdf(matrix), phi)
+
+
+def _cdf(matrix: np.ndarray) -> np.ndarray:
+    """Every row's cumulative sums over its total: the normalized cdf.
+
+    A sequential ``np.cumsum`` along each row, then a divide by the
+    row's last entry.  The divisor column is copied first: a divide in
+    place by a view of the same array takes numpy's slower overlap
+    path, for the same quotients.
+    """
     cdf = np.cumsum(matrix, axis=1)
-    cdf /= cdf[:, -1:]
+    cdf /= cdf[:, -1:].copy()
+    return cdf
+
+
+def _quantiles_of(cdf: np.ndarray, phi: float) -> np.ndarray:
+    """The first column where each row of a normalized cdf reaches
+    ``phi - 1e-9``."""
+    if cdf.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
     return np.argmax(cdf >= phi - _QUANTILE_TOL, axis=1)
 
 
@@ -865,19 +883,24 @@ def rank_position_probability_matrix(
 def _rank_table(
     relation: Union[AttributeLevelRelation, TupleLevelRelation],
     ties: TieRule,
+    *,
+    cdf: bool = False,
 ) -> tuple[np.ndarray, bool]:
     """Every tuple's rank pmf as a table, and whether the DP made it.
 
     The attribute-level ``(N, N)`` or tuple-level ``(N, M + 1)`` table
-    of :func:`attribute_rank_pmf_matrix` / :func:`tuple_rank_pmf_matrix`.
-    It is the memoized sweep when that passed its mass check at build
-    time, else the legacy DP's pmfs laid out as the same table
-    (``from_dp`` is then true).
+    of :func:`attribute_rank_pmf_matrix` / :func:`tuple_rank_pmf_matrix`,
+    or with ``cdf`` its normalized row cdfs.  It is the memoized table
+    when its sweep passed the mass check at build time, else the
+    legacy DP's pmfs laid out as the same table (``from_dp`` is then
+    true).
     """
     _check_ties(ties)
     if isinstance(relation, AttributeLevelRelation):
-        return _read(relation, "attribute", ties)
-    return _read(relation, "rank", ties)
+        kind = "attribute"
+    else:
+        kind = "rank"
+    return _read(relation, f"{kind}_cdf" if cdf else kind, ties)
 
 
 def _rank_distributions(
@@ -899,28 +922,27 @@ def _quantile_topk(
     phi: float,
     ties: TieRule,
 ) -> TopKResult:
-    """Top-k by the ``phi``-quantile rank, read off :func:`_rank_table`.
+    """Top-k by the ``phi``-quantile rank, read off the kept rank cdf.
 
-    Ties on the quantile are broken by insertion order; ``kernel``
-    names the ``<kernel>.tuples_accessed`` counter.
+    The cdf slot does not depend on ``phi``: median and every quantile
+    of one version read one table.  Ties on the quantile are broken by
+    insertion order; ``kernel`` names the ``<kernel>.tuples_accessed``
+    counter.
     """
     if k < 0:
         raise RankingError(f"k must be >= 0, got {k!r}")
     if not 0.0 < phi <= 1.0:
         raise RankingError(f"phi must be in (0, 1], got {phi!r}")
     count(f"{kernel}.tuples_accessed", relation.size)
-    table, from_dp = _rank_table(relation, ties)
-    quantiles = rank_quantiles(table, phi)
-    statistics = {
-        tid: float(quantiles[position])
-        for position, tid in enumerate(relation.tids())
-    }
+    cdf, from_dp = _rank_table(relation, ties, cdf=True)
+    values = _quantiles_of(cdf, phi).astype(float)
+    tids = relation.tids()
     return top_k_result(
         _method_name(phi),
         k,
-        relation.tids(),
-        list(statistics.values()),
-        statistics,
+        tids,
+        values,
+        dict(zip(tids, values.tolist())),
         {
             "tuples_accessed": relation.size,
             "exact": True,
@@ -935,15 +957,22 @@ def _quantile_topk(
 # Memoized tables and the one mass-conservation guard
 # ----------------------------------------------------------------------
 # One memo slot per table kind and tie rule (``VersionMemo.table``):
-#   "attribute"  the attribute-level sweep, N x N
-#   "present"    the tuple-level present-branch sweep, N x M
-#   "rank"       "present" mixed with the absent branch, N x (M + 1)
-#   "position"   "present" times p(t), N x N (tuple level only)
+#   "attribute"      the attribute-level sweep, N x N
+#   "present"        the tuple-level present-branch sweep, N x M
+#   "rank"           "present" mixed with the absent branch, N x (M + 1)
+#   "position"       "present" times p(t), N x N (tuple level only)
+#   "attribute_cdf"  the normalized row cdfs of "attribute" and of
+#   "rank_cdf"       "rank", which median and quantile top-k read; one
+#                    more table the size of its source
 # Each build returns ``(table, deviation)``.  A sweep is checked with
 # ``mass_violation`` once, when it is built, and a table built from a
 # distressed table is distressed itself; the memo keeps no distressed
 # table, and ``_read`` is the only place that looks at the deviation.
+_CDF_SOURCE = {"attribute_cdf": "attribute", "rank_cdf": "rank"}
+
+
 def _width(columns: Union[AttributeColumns, TupleColumns], kind: str) -> int:
+    kind = _CDF_SOURCE.get(kind, kind)
     if kind in ("attribute", "position"):
         return columns.size
     return max(columns.rule_count, 1) + (kind == "rank")
@@ -962,6 +991,9 @@ def _build(
     kind: str,
     ties: TieRule,
 ) -> tuple[np.ndarray, float | None]:
+    if kind in _CDF_SOURCE:
+        source, deviation = _slot(relation, _CDF_SOURCE[kind], ties)
+        return _cdf(source), deviation
     columns = relation.columns()
     if kind == "attribute":
         return _checked(_attribute_sweep(columns, ties))
@@ -1028,6 +1060,8 @@ def _dp_table(
         tuple_rank_distributions_dp,
     )
 
+    if kind in _CDF_SOURCE:
+        return _cdf(_dp_table(relation, _CDF_SOURCE[kind], ties))
     columns = relation.columns()
     if kind == "position":
         return _positional(columns, _dp_table(relation, "present", ties))

@@ -46,7 +46,12 @@ from repro.models.pdf import PROBABILITY_TOLERANCE
 from repro.models.rules import ExclusionRule
 from repro.models.tuple_level import TupleLevelRelation, TupleLevelTuple
 
-__all__ = ["MaintainedTupleStore"]
+__all__ = ["IMPLIED_PREFIX", "MaintainedTupleStore"]
+
+#: Id prefix of the rule a tuple inserted without ``rule=`` is filed
+#: under: ``__auto_<tid>``.  A caller's rule id may not start with it,
+#: so no caller can name, and join, another tuple's implied rule.
+IMPLIED_PREFIX = "__auto_"
 
 
 class _Version(NamedTuple):
@@ -121,12 +126,21 @@ class MaintainedTupleStore:
     ) -> None:
         """Add a tuple, optionally joining the named exclusion rule.
 
-        Raises when the id exists or the rule's mass would exceed one.
+        Raises when the id exists, the rule id starts with
+        :data:`IMPLIED_PREFIX` or the rule's mass would exceed one.
         """
         if tid in self._rows:
             raise EngineError(f"tuple {tid!r} already exists")
+        if rule is None:
+            rule_id = f"{IMPLIED_PREFIX}{tid}"
+        elif isinstance(rule, str) and rule.startswith(IMPLIED_PREFIX):
+            raise InvalidRuleError(
+                f"rule id {rule!r} uses the prefix {IMPLIED_PREFIX!r} "
+                "reserved for implied rules"
+            )
+        else:
+            rule_id = rule
         row = TupleLevelTuple(tid, score, probability)
-        rule_id = rule if rule is not None else f"__auto_{tid}"
         new_mass = self._rule_mass.get(rule_id, 0.0) + row.probability
         if new_mass > 1.0 + PROBABILITY_TOLERANCE:
             raise InvalidRuleError(

@@ -17,7 +17,9 @@ it.  Three such things are expensive and read on every query:
   change (``TupleColumns.from_relation``);
 * the rank tables the generating-function sweeps build from those
   columns (``repro.core.columnar``), which every median, quantile and
-  positional semantics reads.
+  positional semantics reads, and the normalized rank cdf of each
+  pmf table that median and quantile top-k read (one more table the
+  size of its source).
 
 :class:`VersionMemo` gives both relation classes ``digest()``,
 ``columns()`` and ``table()``.  Each value is built lazily on first

@@ -89,6 +89,7 @@ CONSUMERS = {
     "median-shared": ("median_rank", {"ties": "shared"}),
     "q25": ("quantile_rank", {"phi": 0.25}),
     "q75": ("quantile_rank", {"phi": 0.75}),
+    "q100-shared": ("quantile_rank", {"phi": 1.0, "ties": "shared"}),
     "dists": ("distributions", {}),
     "dists-shared": ("distributions", {"ties": "shared"}),
     "ukranks": ("u_kranks", {}),
@@ -136,7 +137,8 @@ def answer(relation, consumer, options):
 
 def distressed_kept_tables(relation) -> list:
     """Kept memo slots whose table fails its own mass check, or whose
-    present-branch table does (the slot is built from it)."""
+    present-branch table does (the slot is built from it), and kept
+    cdfs whose source table is not kept."""
     kept = {
         key: slot.peek()[0]
         for key, slot in relation._table_memo.items()
@@ -144,8 +146,12 @@ def distressed_kept_tables(relation) -> list:
     }
     bad = []
     for key, table in kept.items():
+        # A cdf's rows end at one; it is sound when its source is.
+        if key[0].endswith("_cdf"):
+            if (key[0].removesuffix("_cdf"), key[1]) not in kept:
+                bad.append(key)
         # Positional rows sum to p(t); the slot reads by_index present.
-        if key[0] == "position":
+        elif key[0] == "position":
             if ("present", "by_index") not in kept:
                 bad.append(key)
         elif mass_violation(table) is not None:
@@ -178,6 +184,11 @@ class TestGuardedRead:
         # One fallback per answering call, and no distressed table kept.
         assert counters.get("kernel.gf_fallback", 0) == 2 * distressed
         assert distressed_kept_tables(relation) == []
+        # Every quantile answer here read a distressed table: no cdf.
+        cdfs = [key for key in relation._table_memo if "_cdf" in key[0]]
+        assert all(relation._table_memo[key].peek() is None for key in cdfs)
+        if consumer in QUANTILE_METHODS:
+            assert cdfs
 
         ties = options.get("ties", "by_index")
         if consumer == "distributions":
@@ -245,6 +256,10 @@ class TestGuardedRead:
                 assert result.metadata["gf_fallback"] is False
         counters = registry.snapshot()["counters"]
         assert "kernel.gf_fallback" not in counters
+        kind = "attribute_cdf" if model == "attribute" else "rank_cdf"
+        for ties in ("by_index", "shared"):
+            assert relation._table_memo[(kind, ties)].peek() is not None
+        assert distressed_kept_tables(relation) == []
 
 
 def _tied_attribute(size: int) -> AttributeLevelRelation:

@@ -75,6 +75,27 @@ class TestUpdates:
         assert "zzz" not in store
         assert len(store) == 4
 
+    @pytest.mark.parametrize("first_has_rule", [True, False])
+    def test_implied_rule_ids_are_reserved(self, first_has_rule):
+        # "b" inserted without a rule is filed under "__auto_b"; were
+        # a caller allowed that id, "a" and "b" would share one rule,
+        # in either insertion order.
+        store = MaintainedTupleStore()
+        if first_has_rule:
+            with pytest.raises(InvalidRuleError, match="__auto_b"):
+                store.insert("a", score=5.0, probability=0.5, rule="__auto_b")
+            store.insert("b", score=4.0, probability=0.4)
+        else:
+            store.insert("b", score=4.0, probability=0.4)
+            with pytest.raises(InvalidRuleError, match="__auto_b"):
+                store.insert("a", score=5.0, probability=0.5, rule="__auto_b")
+        store.insert("a", score=5.0, probability=0.5)
+        store.validate()
+        relation = store.snapshot()
+        assert relation.explicit_rules == ()
+        assert not relation.exclusive_with("a", "b")
+        assert store.expected_world_size() == pytest.approx(0.9)
+
 
 class TestSnapshots:
     def test_snapshot_matches_contents(self, store):

@@ -1,7 +1,8 @@
 """Rank tables memoized on the relation version.
 
 Every median, quantile and positional semantics reads one of four
-generating-function tables (``repro.core.columnar``).  A relation
+generating-function tables (``repro.core.columnar``), median and
+quantile top-k through the normalized cdf of theirs.  A relation
 object builds each of them once per tie rule and keeps it read-only;
 this module pins that the kept tables change no answer, and the
 memo's lifecycle:
@@ -9,6 +10,9 @@ memo's lifecycle:
 * parity, exact to the bit: a warm hit, a cold ``copy.copy`` version
   and a table built on every call (budget 0) give the same
   ``to_dict()`` JSON, and the tables equal a direct ``Columns`` call;
+  a kept cdf gives the quantiles ``rank_quantiles`` reads off a fresh
+  table, also where a cdf entry sits on ``phi``;
+* one cdf serves median and every quantile of a version;
 * kept arrays are read-only;
 * a copy or a pickle round-trip starts with an empty memo;
 * eight threads racing on a cold version build each table once;
@@ -56,6 +60,7 @@ METHODS = (
     ("median_rank", {}, True),
     ("quantile_rank", {"phi": 0.25}, True),
     ("quantile_rank", {"phi": 0.75}, True),
+    ("quantile_rank", {"phi": 1.0}, True),
     ("u_kranks", {}, False),
     ("pt_k", {"threshold": 0.3}, False),
     ("global_topk", {}, False),
@@ -347,3 +352,105 @@ class TestPositionalGuard:
         # One check per build, and every read rebuilt: nothing kept.
         assert registry.snapshot()["counters"]["kernel.gf_fallback"] == 3
         assert sum(_builds(registry).values()) - before == 3
+
+
+def _kept_cdf(relation, ties) -> np.ndarray:
+    kind = (
+        "attribute_cdf"
+        if isinstance(relation, AttributeLevelRelation)
+        else "rank_cdf"
+    )
+    return relation._table_memo[(kind, ties)].peek()[0]
+
+
+def _fresh_table(relation, ties) -> np.ndarray:
+    columns = copy.copy(relation).columns()
+    if isinstance(relation, AttributeLevelRelation):
+        return attribute_rank_pmf_matrix(columns, ties=ties)
+    return tuple_rank_pmf_matrix(columns, ties=ties)
+
+
+class TestKeptCdf:
+    """Median and quantile top-k read one kept cdf per source table."""
+
+    @pytest.mark.parametrize(
+        "name, ties, phi",
+        [
+            # Equal two-point pdfs: cdf entries land exactly on phi.
+            ("attribute-equal", "by_index", 0.25),
+            ("attribute-equal", "by_index", 0.75),
+            ("attribute-equal", "shared", 0.75),
+            # Entries within 1e-9 of phi, not on it.
+            ("tuple-equal", "shared", 0.5),
+        ],
+    )
+    def test_a_cdf_entry_on_phi_reads_as_a_fresh_table_does(
+        self, name, ties, phi, monkeypatch
+    ):
+        relation = RELATIONS[name]()
+        options = {"phi": phi, "ties": ties}
+        warm = rank(relation, SIZE, method="quantile_rank", **options)
+        cdf = _kept_cdf(relation, ties)
+        assert np.any(np.abs(cdf - phi) <= 1e-9), "no entry on phi"
+        fresh = columnar.rank_quantiles(_fresh_table(relation, ties), phi)
+        assert list(warm.statistics.values()) == fresh.astype(float).tolist()
+        cold = rank(
+            copy.copy(relation), SIZE, method="quantile_rank", **options
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(memo, "TABLE_BUDGET_BYTES", 0)
+            unkept = rank(
+                RELATIONS[name](), SIZE, method="quantile_rank", **options
+            )
+        assert (
+            json.dumps(warm.to_dict())
+            == json.dumps(cold.to_dict())
+            == json.dumps(unkept.to_dict())
+        )
+
+    def test_an_entry_just_below_phi_reaches_it(self):
+        pmf = np.array([[0.5 - 4e-10, 0.5 + 4e-10], [0.5 - 2e-9, 0.5 + 2e-9]])
+        assert columnar.rank_quantiles(pmf, 0.5).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("name", ["attribute-uu", "tuple-ruled"])
+    def test_median_then_quantiles_build_one_cdf(self, name, monkeypatch):
+        builds = []
+        honest = columnar._cdf
+
+        def counted(matrix):
+            builds.append(matrix.shape)
+            return honest(matrix)
+
+        monkeypatch.setattr(columnar, "_cdf", counted)
+        relation = RELATIONS[name]()
+        rank(relation, 3, method="median_rank")
+        rank(relation, 3, method="quantile_rank", phi=0.75)
+        rank(relation, 3, method="quantile_rank", phi=0.25)
+        rank(relation, 3, method="median_rank")
+        assert len(builds) == 1
+        rank(relation, 3, method="median_rank", ties="shared")
+        assert len(builds) == 2
+
+    @pytest.mark.parametrize("name", ["attribute-uu", "tuple-ruled"])
+    @pytest.mark.parametrize("ties", TIES)
+    def test_a_kept_cdf_is_read_only_and_normalizes_its_table(
+        self, name, ties
+    ):
+        relation = RELATIONS[name]()
+        rank(relation, 3, method="median_rank", ties=ties)
+        cdf = _kept_cdf(relation, ties)
+        assert not cdf.flags.writeable
+        with pytest.raises(ValueError):
+            cdf[0, 0] = 0.0
+        table = _fresh_table(relation, ties)
+        expected = np.cumsum(table, axis=1)
+        expected = expected / expected[:, -1:]
+        assert np.array_equal(cdf, expected)
+
+    def test_a_cdf_over_the_budget_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(memo, "TABLE_BUDGET_BYTES", 0)
+        relation = RELATIONS["tuple-ruled"]()
+        first = rank(relation, 3, method="median_rank")
+        assert relation._table_memo == {}
+        again = rank(relation, 3, method="median_rank")
+        assert again.to_dict() == first.to_dict()

@@ -29,8 +29,8 @@ the incremental sweep numerically safe:
 
 The pmf matrices agree with the legacy DP entry points (and with the
 possible-worlds oracle) to within ``1e-9`` total variation — the
-parity tests in ``tests/test_columnar_gf.py`` and the speedup gates in
-``benchmarks/bench_e09*/e10*`` pin both claims.
+differential matrix in ``tests/test_differential_matrix.py`` and the
+speedup gates in ``benchmarks/bench_e09*/e10*`` pin both claims.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from operator import attrgetter
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.signal import lfilter
 
 from repro.core.rank_distribution import RankDistribution, _method_name
 from repro.core.result import TopKResult, top_k_result
@@ -51,11 +52,6 @@ from repro.models.possible_worlds import TieRule, _check_ties
 from repro.models.rules import ExclusionRule
 from repro.models.tuple_level import TupleLevelRelation
 from repro.obs import count, emit_event, trace
-
-try:  # SciPy is present in the dev image but is not a declared dep.
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _lfilter = None
 
 __all__ = [
     "AttributeColumns",
@@ -83,9 +79,6 @@ _QUANTILE_TOL = 1e-9
 #: Each pmf row of a sweep result must carry unit mass to within this —
 #: the same tolerance :class:`RankDistribution` enforces on construction.
 MASS_TOLERANCE = 1e-6
-
-#: Chunk width of the numpy fallback scan in :func:`_first_order`.
-_SCAN_BLOCK = 64
 
 #: Rebuild the product polynomial after this many divisions.  Division
 #: noise compounds exponentially across chained divide/multiply steps —
@@ -413,34 +406,9 @@ def convolve_bernoulli(poly: np.ndarray, probability: float) -> np.ndarray:
 def _first_order(ratio: float, driving: np.ndarray) -> np.ndarray:
     """Solve ``y[k] = driving[k] + ratio * y[k - 1]`` with ``y[-1]=0``.
 
-    Uses :func:`scipy.signal.lfilter` when SciPy is importable and a
-    blocked Toeplitz scan otherwise (same O(n) asymptotics, pure
-    numpy).  Stable whenever ``abs(ratio) <= 1``.
+    Stable whenever ``abs(ratio) <= 1``.
     """
-    if _lfilter is not None:
-        return np.asarray(_lfilter([1.0], [1.0, -ratio], driving))
-    n = driving.size
-    out = np.empty(n)
-    block = min(_SCAN_BLOCK, max(n, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = ratio ** np.arange(block + 1, dtype=float)
-        rows = np.arange(block)
-        lag = rows[:, None] - rows[None, :]
-        toeplitz = np.where(lag >= 0, powers[np.maximum(lag, 0)], 0.0)
-        carry = 0.0
-        for start in range(0, n, block):
-            chunk = driving[start:start + block]
-            width = chunk.size
-            part = toeplitz[:width, :width] @ chunk
-            if carry != 0.0:
-                # Skipped for a zero carry: for |ratio| >> 1 the high
-                # powers are inf and ``0.0 * inf`` would poison the
-                # stable early lanes that the sequential recurrence
-                # (scipy's lfilter) computes exactly.
-                part += powers[1:width + 1] * carry
-            out[start:start + width] = part
-            carry = part[-1]
-    return out
+    return np.asarray(lfilter([1.0], [1.0, -ratio], driving))
 
 
 def deconvolve_bernoulli(

@@ -9,7 +9,7 @@ them to the two references that must keep agreeing to ``1e-9``:
 * the possible-worlds oracles in :mod:`repro.baselines.brute_force`.
 
 Plus the polynomial kernels themselves (convolve/deconvolve round
-trips, the tree product, the scipy-free fallback), the quantile
+trips, the tree product), the quantile
 statistics behind A-MQRank/T-MQRank for several ``phi``, and a golden
 capture replay guarding the answer digests across the engine swap.
 """
@@ -37,7 +37,6 @@ from repro.core import (
     tuple_rank_distributions,
     tuple_rank_distributions_dp,
 )
-from repro.core import columnar
 from repro.core.columnar import (
     convolve_bernoulli,
     deconvolve_bernoulli,
@@ -164,13 +163,6 @@ class TestPolynomialKernels:
         assert tree.shape == (count + 1,)
         np.testing.assert_allclose(tree, sequential, atol=1e-12)
         assert tree.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_numpy_fallback_matches_default_path(self, monkeypatch):
-        relation = attribute_workload("uu", 40, pdf_size=3)
-        expected = attribute_rank_distributions(relation)
-        monkeypatch.setattr(columnar, "_lfilter", None)
-        fallback = attribute_rank_distributions(relation)
-        assert_distributions_match(fallback, expected, atol=1e-11)
 
     def test_rank_quantiles_matches_rank_distribution(self):
         rng = np.random.default_rng(9)
